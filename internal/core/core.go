@@ -238,9 +238,31 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			a   *mutate.Analysis
 			err error
 		}
+		// Every sample's base valuation runs first, in a batch of its own,
+		// under the full output quorum: two runs per sample before any
+		// mutant. A lying machine that the lexer bootstrap's few runs
+		// missed trips the noisy latch here, and the analysis forks below
+		// snapshot it, so no mutant on that machine settles on a single
+		// run (DESIGN §7). Only the verdict crosses to the analysis:
+		// carrying the engine would hold every sample's assembled
+		// initializers live at once, which measured 15% more garbage
+		// collection cycles. QuorumN=1 forms no quorum, so there is no
+		// latch to trip and no batch: such a run probes as it always did.
+		var baselines []error
+		if opts.QuorumN != 1 {
+			baselines = pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) error {
+				return mutate.New(sub, model, nil).CheckBaseline(work[i], 0)
+			})
+		}
 		results := pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) analyzed {
 			s := work[i]
 			eng := mutate.New(sub, model, rand.New(rand.NewSource(sampleSeed(opts.Seed, s.Name))))
+			if baselines != nil {
+				if baselines[i] != nil {
+					return analyzed{err: baselines[i]}
+				}
+				eng.AssumeBaseline(s, 0)
+			}
 			a, err := eng.Analyze(s)
 			return analyzed{a, err}
 		})

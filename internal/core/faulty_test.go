@@ -111,6 +111,7 @@ func TestFlakyExecutor(t *testing.T) {
 	if d.ProbeStats.QuorumConflicts == 0 {
 		t.Error("the flaky runs must surface as quorum conflicts")
 	}
+	assertExpectShortcutSafe(t, clean.ProbeStats, d.ProbeStats)
 	if d.Spec == nil {
 		t.Fatalf("no spec synthesized: %v", d.SpecErr)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"srcg/internal/faulty"
+	"srcg/internal/probe"
 	"srcg/internal/target"
 	"srcg/internal/target/alpha"
 	"srcg/internal/target/mips"
@@ -72,6 +73,7 @@ func TestDiscoveryByteIdenticalUnderFaults(t *testing.T) {
 				t.Errorf("probe budget exhausted %d times at a 12%% fault rate: %s",
 					ps.Exhausted, ps)
 			}
+			assertExpectShortcutSafe(t, clean.ProbeStats, ps)
 			t.Logf("%s: injected=%d %s", tt.arch, inj.InjectedTotal(), ps)
 		})
 	}
@@ -99,6 +101,22 @@ func TestQuorumNeverAttributesNoiseAsSemantics(t *testing.T) {
 	}
 	if d.ProbeStats.QuorumConflicts == 0 {
 		t.Error("noise at 15% must surface as quorum conflicts")
+	}
+	assertExpectShortcutSafe(t, clean.ProbeStats, d.ProbeStats)
+}
+
+// assertExpectShortcutSafe pins the safety argument of the one-run
+// expect shortcut (DESIGN §7): the clean machine uses it, and on the lying
+// machine the lexer bootstrap's quorums latch the prober before the first
+// mutant runs, so not one mutant verdict there rests on a single run.
+func assertExpectShortcutSafe(t *testing.T, clean, lying probe.Stats) {
+	t.Helper()
+	if clean.ExpectAccepts == 0 {
+		t.Errorf("the clean machine never took the one-run shortcut: %s", clean)
+	}
+	if lying.ExpectAccepts != 0 {
+		t.Errorf("the lying machine settled %d mutant runs alone; the latch tripped too late: %s",
+			lying.ExpectAccepts, lying)
 	}
 }
 

@@ -98,13 +98,33 @@ func (r *Rig) Accepts(text string) bool {
 // program's stdout. An execution fault is an error (mutation analyses treat
 // faults as "behaved differently").
 func (r *Rig) LinkRun(units ...*asm.Unit) (string, error) {
-	r.Trace().Count(CtrLinks, 1)
-	img, err := r.P.Link(units)
+	img, err := r.link(units)
 	if err != nil {
 		return "", err
 	}
-	r.Trace().Count(CtrExecutions, 1)
 	return r.P.Execute(img)
+}
+
+// LinkRunExpect is LinkRun for a caller comparing the output against want,
+// an exact reference output: on a machine never caught lying, one run
+// printing want settles the execution (probe.Prober.ExecuteExpect).
+func (r *Rig) LinkRunExpect(want string, units ...*asm.Unit) (string, error) {
+	img, err := r.link(units)
+	if err != nil {
+		return "", err
+	}
+	return r.P.ExecuteExpect(img, want)
+}
+
+// link links units, counting the link and, when it succeeds, the
+// execution that follows.
+func (r *Rig) link(units []*asm.Unit) (*asm.Image, error) {
+	r.Trace().Count(CtrLinks, 1)
+	img, err := r.P.Link(units)
+	if err == nil {
+		r.Trace().Count(CtrExecutions, 1)
+	}
+	return img, err
 }
 
 // BuildRun compiles, assembles, links, and runs C translation units.

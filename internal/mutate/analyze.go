@@ -63,8 +63,10 @@ func (e *Engine) Analyze(s *discovery.Sample) (*Analysis, error) {
 		UseDefs: map[string][]int{},
 		AWriter: -1,
 	}
-	if !e.SameOutput(s, a.Region) {
-		return nil, fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", s.Name)
+	for i := 0; i < s.NumValuations(); i++ {
+		if err := e.CheckBaseline(s, i); err != nil {
+			return nil, err
+		}
 	}
 	if err := e.normalizeDelaySlots(a); err != nil {
 		return nil, err

@@ -95,12 +95,43 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 // SameOutputVal checks a single valuation (index 0 is the base). The
 // value-specific attribution probes (§4.4's repair insertions) use the
 // base valuation only, since their repair constants are drawn from it.
+// The mutant runs under Rig.LinkRunExpect: the expected output is the
+// exact reference, so on a machine never caught lying one run that
+// reproduces it settles the verdict.
 func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, val int) bool {
-	v := s.Valuation(val)
-	text := s.Rebuild(region)
+	return e.sameOutputVal(s, region, val, true)
+}
+
+// CheckBaseline fails unless the unmutated sample reproduces its expected
+// output under valuation val. Unlike a mutant's check it runs the full
+// output quorum: this is the baseline mutants are compared against, and
+// on a lying machine its disagreeing runs trip the prober's noisy latch.
+func (e *Engine) CheckBaseline(s *discovery.Sample, val int) error {
+	if !e.sameOutputVal(s, s.Region, val, false) {
+		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", s.Name)
+	}
+	return nil
+}
+
+// AssumeBaseline records that the unmutated sample reproduces its expected
+// output under valuation val, as a CheckBaseline on another engine found;
+// this engine's own check then replays the verdict instead of re-probing.
+func (e *Engine) AssumeBaseline(s *discovery.Sample, val int) {
+	e.cache[verdictKey(s, s.Rebuild(s.Region), val)] = true
+}
+
+// verdictKey addresses one SameOutputVal verdict: sample, valuation, and
+// the rebuilt sample text.
+func verdictKey(s *discovery.Sample, text string, val int) uint64 {
 	key := fnvAdd(fnvOffset64, s.Name)
 	key = (key ^ uint64(byte(val))) * fnvPrime64
-	key = fnvAdd(key, text)
+	return fnvAdd(key, text)
+}
+
+func (e *Engine) sameOutputVal(s *discovery.Sample, region []discovery.Instr, val int, expect bool) bool {
+	v := s.Valuation(val)
+	text := s.Rebuild(region)
+	key := verdictKey(s, text, val)
 	if cached, ok := e.cache[key]; ok {
 		e.Rig.Trace().Count(CtrCacheHits, 1)
 		return cached
@@ -116,7 +147,12 @@ func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, va
 		if err != nil {
 			return false
 		}
-		out, err := e.Rig.LinkRun(u, initU)
+		var out string
+		if expect {
+			out, err = e.Rig.LinkRunExpect(v.ExpectedOut, u, initU)
+		} else {
+			out, err = e.Rig.LinkRun(u, initU)
+		}
 		return err == nil && out == v.ExpectedOut
 	}()
 	e.cache[key] = same

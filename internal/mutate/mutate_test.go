@@ -43,6 +43,29 @@ func analyze(t *testing.T, e *Engine, s *discovery.Sample) *Analysis {
 	return a
 }
 
+// TestBaselineRunsFullQuorum: a baseline is never settled by the one-run
+// expect shortcut, and an assumed baseline replays without a probe.
+func TestBaselineRunsFullQuorum(t *testing.T) {
+	e, samples := setup(t, x86.New())
+	s := samples["int.add.b_c"]
+	before := e.Rig.ProbeStats()
+	if err := e.CheckBaseline(s, 1); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Rig.ProbeStats()
+	if runs := after.QuorumRuns - before.QuorumRuns; runs != 2 || after.ExpectAccepts != before.ExpectAccepts {
+		t.Errorf("baseline spent %d runs, %d expect accepts; want the 2-run quorum, none",
+			runs, after.ExpectAccepts-before.ExpectAccepts)
+	}
+	e.AssumeBaseline(s, 0)
+	if err := e.CheckBaseline(s, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Rig.ProbeStats().Attempts; got != after.Attempts {
+		t.Errorf("an assumed baseline made %d toolchain calls; want 0", got-after.Attempts)
+	}
+}
+
 func TestAlphaRedundantElimination(t *testing.T) {
 	// Fig. 6: the canonicalizing addl $n,0,$n after the operation is
 	// observationally redundant and must be eliminated; the copy

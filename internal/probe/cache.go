@@ -4,7 +4,8 @@
 // by the operation, the resilience policy, and the content flowing into
 // it: C source for compiles, assembly text for assembles, the ordered
 // assembly texts of the units for links, and the link key for executes
-// (sample text → assembly → quorum-accepted run output). A hit returns
+// (sample text → assembly → quorum-accepted run output), plus the
+// expected output for expect-executes. A hit returns
 // the recorded value, error, and telemetry bundle; replaying the bundle
 // keeps a warm run's trace byte-identical to the cold run that filled it.
 //
@@ -40,11 +41,15 @@ const (
 )
 
 // entryKey addresses one memoized logical probe by operation, resilience
-// policy, and the full content flowing into the probe.
+// policy, and the full content flowing into the probe. want is the
+// expected output of an execute-expect probe (empty for every other op):
+// a field of its own rather than part of the payload, so the key shares
+// the link key's string instead of copying it.
 type entryKey struct {
 	op      string
 	policy  string
 	payload string
+	want    string
 }
 
 // cacheEntry is one memoized logical probe: its outcome and the drained
@@ -118,7 +123,7 @@ func (c *Cache) store(k entryKey, e *cacheEntry) {
 	c.mu.Lock()
 	if _, ok := c.entries[k]; !ok {
 		c.entries[k] = e
-		c.bytes += int64(len(k.op) + len(k.policy) + len(k.payload))
+		c.bytes += int64(len(k.op) + len(k.policy) + len(k.payload) + len(k.want))
 		if s, ok := e.val.(string); ok {
 			c.bytes += int64(len(s))
 		}

@@ -104,16 +104,23 @@ func TestCacheColdWarmReplays(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
-		return out, p.Stats(), p
+		exp, err := p.ExecuteExpect(img, "42\n")
+		if err != nil {
+			t.Fatalf("ExecuteExpect: %v", err)
+		}
+		return out + exp, p.Stats(), p
 	}
 
 	cold := &scripted{
 		compile:  []step{{out: "mov a, b"}},
 		assemble: []step{{}},
 		link:     []step{{}},
-		execute:  []step{{out: "42\n"}, {out: "42\n"}},
+		execute:  []step{{out: "42\n"}, {out: "42\n"}, {out: "42\n"}},
 	}
 	outCold, stCold, _ := run(cold)
+	if stCold.ExpectAccepts != 1 {
+		t.Fatalf("cold expect_accepts = %d; want 1", stCold.ExpectAccepts)
+	}
 
 	// The warm toolchain has empty scripts: any physical call panics.
 	outWarm, stWarm, pw := run(&scripted{})
@@ -123,11 +130,51 @@ func TestCacheColdWarmReplays(t *testing.T) {
 	if stWarm != stCold {
 		t.Errorf("replayed stats drifted:\ncold %+v\nwarm %+v", stCold, stWarm)
 	}
-	if hits := pw.Tracer().Counter(CtrCacheHits); hits != 4 {
-		t.Errorf("warm cache hits = %d; want 4 (compile, assemble, link, execute)", hits)
+	if hits := pw.Tracer().Counter(CtrCacheHits); hits != 5 {
+		t.Errorf("warm cache hits = %d; want 5 (compile, assemble, link, execute, execute-expect)", hits)
 	}
 	if misses := pw.Tracer().Counter(CtrCacheMisses); misses != 0 {
 		t.Errorf("warm cache misses = %d; want 0", misses)
+	}
+}
+
+// TestCacheExpectNeverSharesExecuteEntry: a one-run expect acceptance must
+// never answer a plain Execute (which promised a quorum), nor an expect
+// probe hoping for a different output — each is its own entry.
+func TestCacheExpectNeverSharesExecuteEntry(t *testing.T) {
+	cache := NewCache()
+	c := cfg(8, 7)
+	c.Cache = cache
+	p := New(&scripted{
+		assemble: []step{{}},
+		link:     []step{{}},
+		execute:  []step{{out: "42\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}},
+	}, c)
+	u, err := p.Assemble("mov a, b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := p.Link([]*asm.Unit{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ExecuteExpect(img, "42\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ExecuteExpect(img, "41\n"); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Len() != 5 {
+		t.Errorf("cache entries = %d; want 5 (assemble, link, and three distinct executes)", cache.Len())
+	}
+	if hits := p.Tracer().Counter(CtrCacheHits); hits != 0 {
+		t.Errorf("cache hits = %d; an expect-execute shared an entry", hits)
+	}
+	if st := p.Stats(); st.QuorumRuns != 1+2+2 || st.ExpectAccepts != 1 {
+		t.Errorf("stats = %+v; want quorum_runs=5 expect_accepts=1", st)
 	}
 }
 

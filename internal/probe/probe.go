@@ -47,13 +47,10 @@ type Config struct {
 	// first attempt). 0 means DefaultRetries.
 	Retries int
 	// BackoffBase and BackoffCap bound the deterministic backoff schedule:
-	// attempt i waits min(BackoffBase<<(i-1), BackoffCap) of virtual time.
+	// attempt i waits min(BackoffBase<<(i-1), BackoffCap) of virtual time,
+	// accounted but never slept.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// Sleep, when non-nil, receives each backoff duration (a remote target
-	// would pass time.Sleep). Nil keeps retries instantaneous and
-	// deterministic — the schedule is still computed and accounted.
-	Sleep func(time.Duration)
 	// QuorumN caps the executions spent seeking an output quorum. Two
 	// agreeing runs accept an output; once runs disagree, the bar rises to
 	// three. QuorumN=1 trusts a single run (no re-execution); 0 means
@@ -114,6 +111,7 @@ const (
 	CtrExhausted       = "probe.exhausted"
 	CtrQuorumRuns      = "probe.quorum_runs"
 	CtrQuorumConflicts = "probe.quorum_conflicts"
+	CtrExpectAccepts   = "probe.expect_accepts"
 	CtrBackoffNs       = "probe.backoff_ns"
 
 	// HistAttemptNs is the duration histogram over physical toolchain
@@ -136,24 +134,13 @@ type Stats struct {
 	Exhausted       int           // probes that spent their whole retry budget
 	QuorumRuns      int           // executions spent on output quorums
 	QuorumConflicts int           // quorums where runs disagreed
+	ExpectAccepts   int           // quorums one run settled by printing the expected output
 	Backoff         time.Duration // total virtual backoff time scheduled
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Probes += other.Probes
-	s.Attempts += other.Attempts
-	s.Retries += other.Retries
-	s.FaultsSurvived += other.FaultsSurvived
-	s.Exhausted += other.Exhausted
-	s.QuorumRuns += other.QuorumRuns
-	s.QuorumConflicts += other.QuorumConflicts
-	s.Backoff += other.Backoff
-}
-
 func (s Stats) String() string {
-	return fmt.Sprintf("probes=%d attempts=%d retries=%d faults_survived=%d quorum_runs=%d quorum_conflicts=%d exhausted=%d backoff=%s",
-		s.Probes, s.Attempts, s.Retries, s.FaultsSurvived, s.QuorumRuns, s.QuorumConflicts, s.Exhausted, s.Backoff)
+	return fmt.Sprintf("probes=%d attempts=%d retries=%d faults_survived=%d quorum_runs=%d quorum_conflicts=%d expect_accepts=%d exhausted=%d backoff=%s",
+		s.Probes, s.Attempts, s.Retries, s.FaultsSurvived, s.QuorumRuns, s.QuorumConflicts, s.ExpectAccepts, s.Exhausted, s.Backoff)
 }
 
 // Prober drives one toolchain resiliently. It is safe for concurrent use.
@@ -167,7 +154,8 @@ type Prober struct {
 	mu sync.Mutex
 	// noisy is set the first time two runs of one program disagree, and
 	// never cleared: a machine caught lying once pays the higher quorum
-	// bar (3 agreeing runs instead of 2) for the rest of the session.
+	// bar (3 agreeing runs instead of 2), and loses ExecuteExpect's
+	// one-run shortcut, for the rest of the session.
 	// It is a per-Prober latch, deliberately not a shared counter: a
 	// noisy discovery target must not raise the bar for a different
 	// toolchain that happens to share the tracer.
@@ -244,6 +232,7 @@ func (p *Prober) Stats() Stats {
 		Exhausted:       int(p.tr.Counter(CtrExhausted)),
 		QuorumRuns:      int(p.tr.Counter(CtrQuorumRuns)),
 		QuorumConflicts: int(p.tr.Counter(CtrQuorumConflicts)),
+		ExpectAccepts:   int(p.tr.Counter(CtrExpectAccepts)),
 		Backoff:         time.Duration(p.tr.Counter(CtrBackoffNs)),
 	}
 }
@@ -274,10 +263,10 @@ func (p *Prober) call(op string, fn func() error) error {
 	return err
 }
 
-// backoff accounts (and optionally sleeps) the wait before retry attempt
-// `retry` (1-based). The schedule is a pure function of the attempt
-// index; a virtual tracer clock absorbs the scheduled duration so the
-// trace timeline reflects it without any real sleeping.
+// backoff accounts the wait before retry attempt `retry` (1-based). The
+// schedule is a pure function of the attempt index; a virtual tracer
+// clock absorbs the scheduled duration so the trace timeline reflects it
+// without any real sleeping.
 func (p *Prober) backoff(retry int) time.Duration {
 	d := p.cfg.BackoffBase << uint(retry-1)
 	if d > p.cfg.BackoffCap || d <= 0 {
@@ -285,9 +274,6 @@ func (p *Prober) backoff(retry int) time.Duration {
 	}
 	p.tr.Count(CtrBackoffNs, int64(d))
 	p.tr.Advance(d)
-	if p.cfg.Sleep != nil {
-		p.cfg.Sleep(d)
-	}
 	return d
 }
 
@@ -337,15 +323,14 @@ func transientCount(err error) int {
 // logical resolves one logical probe — a full retry+quorum interaction —
 // on a forked prober, joining the fork's telemetry bundle back in order.
 // With a cache attached and a content key known (memo), a quiet settled
-// outcome is memoized, and a later identical probe replays it: same
-// value, same error, same telemetry bundle, no toolchain work. Both
-// paths join one bundle at one point, which is why traces are
-// byte-identical across cache states.
-func (p *Prober) logical(op, payload string, memo bool, fn func(sub *Prober) (any, error)) (any, error) {
-	var id entryKey
+// outcome is memoized under id (whose policy field is filled in here),
+// and a later identical probe replays it: same value, same error, same
+// telemetry bundle, no toolchain work. Both paths join one bundle at one
+// point, which is why traces are byte-identical across cache states.
+func (p *Prober) logical(id entryKey, memo bool, fn func(sub *Prober) (any, error)) (any, error) {
 	memo = memo && p.cache != nil
 	if memo {
-		id = entryKey{op: op, policy: p.policy, payload: payload}
+		id.policy = p.policy
 		if e, ok := p.cache.lookup(id); ok {
 			p.tr.Count(CtrCacheHits, 1)
 			p.tr.Join(e.replay)
@@ -383,7 +368,7 @@ func cacheableErr(err error) bool {
 
 // CompileC compiles one translation unit, surviving transient faults.
 func (p *Prober) CompileC(src string) (string, error) {
-	v, err := p.logical("compile", src, true, func(sub *Prober) (any, error) {
+	v, err := p.logical(entryKey{op: "compile", payload: src}, true, func(sub *Prober) (any, error) {
 		var text string
 		rerr := sub.retry("compile", func() (int, error) {
 			cerr := sub.call("compile", func() error {
@@ -402,7 +387,7 @@ func (p *Prober) CompileC(src string) (string, error) {
 // Assemble assembles text. A reject from the assembler is permanent — it
 // is the accept/reject oracle syntax discovery bisects against (§3.1).
 func (p *Prober) Assemble(text string) (*asm.Unit, error) {
-	v, err := p.logical("assemble", text, true, func(sub *Prober) (any, error) {
+	v, err := p.logical(entryKey{op: "assemble", payload: text}, true, func(sub *Prober) (any, error) {
 		var u *asm.Unit
 		rerr := sub.retry("assemble", func() (int, error) {
 			aerr := sub.call("assemble", func() error {
@@ -430,7 +415,7 @@ func (p *Prober) Link(units []*asm.Unit) (*asm.Image, error) {
 	if p.cache != nil {
 		payload, keyed = p.cache.unitsKey(units)
 	}
-	v, err := p.logical("link", payload, keyed, func(sub *Prober) (any, error) {
+	v, err := p.logical(entryKey{op: "link", payload: payload}, keyed, func(sub *Prober) (any, error) {
 		var img *asm.Image
 		rerr := sub.retry("link", func() (int, error) {
 			lerr := sub.call("link", func() error {
@@ -455,15 +440,31 @@ func (p *Prober) Link(units []*asm.Unit) (*asm.Image, error) {
 // execution errors (a program faulting) are themselves observations and
 // vote like outputs.
 func (p *Prober) Execute(img *asm.Image) (string, error) {
-	var payload string
+	return p.execute(img, entryKey{op: "execute"}, false)
+}
+
+// ExecuteExpect is Execute for a caller that knows the output it hopes
+// for: mutation analysis asking whether a mutant still prints its
+// sample's reference output. While the prober's noisy latch is clear, a
+// first error-free run printing exactly want settles alone; any other
+// first run is the first vote of Execute's quorum, and a latched prober
+// runs that quorum unchanged. want must be an exact reference (the
+// ir.Eval output), never an output observed on the machine.
+func (p *Prober) ExecuteExpect(img *asm.Image, want string) (string, error) {
+	return p.execute(img, entryKey{op: "execute-expect", want: want}, true)
+}
+
+// execute is the logical probe behind Execute and ExecuteExpect; id
+// carries the op and want, and gets the image's link key as its payload.
+func (p *Prober) execute(img *asm.Image, id entryKey, expect bool) (string, error) {
 	keyed := false
 	if p.cache != nil {
-		payload, keyed = p.cache.imageKey(img)
+		id.payload, keyed = p.cache.imageKey(img)
 	}
-	v, err := p.logical("execute", payload, keyed, func(sub *Prober) (any, error) {
+	v, err := p.logical(id, keyed, func(sub *Prober) (any, error) {
 		var out string
 		rerr := sub.retry("execute", func() (int, error) {
-			o, faults, qerr := sub.quorumExecute(img)
+			o, faults, qerr := sub.quorumExecute(img, id.want, expect)
 			out = o
 			return faults, qerr
 		})
@@ -480,12 +481,14 @@ type observation struct {
 
 // quorumExecute runs the image until one observation gathers a quorum: two
 // agreeing runs normally, three once any disagreement has been seen. With
-// QuorumN=1 the first run is trusted. Transient execution faults do not
-// vote; they consume run budget (reported back as the attempt's fault
-// count) and the caller retries the whole quorum if the budget empties —
-// including when every run faulted, a QuorumError with Votes==0 that is
-// transient like any other quorum failure.
-func (p *Prober) quorumExecute(img *asm.Image) (out string, faults int, err error) {
+// QuorumN=1 the first run is trusted. With expect set and the noisy latch
+// clear, a first voting run that prints want without error is accepted
+// alone. Transient execution faults do not vote; they consume run budget
+// (reported back as the attempt's fault count) and the caller retries the
+// whole quorum if the budget empties — including when every run faulted,
+// a QuorumError with Votes==0 that is transient like any other quorum
+// failure.
+func (p *Prober) quorumExecute(img *asm.Image, want string, expect bool) (out string, faults int, err error) {
 	execute := func() (string, error) {
 		var out string
 		err := p.call("execute", func() error {
@@ -511,6 +514,10 @@ func (p *Prober) quorumExecute(img *asm.Image) (out string, faults int, err erro
 			lastFault = err
 			continue // consumes a run slot without voting
 		}
+		if expect && len(votes) == 0 && err == nil && out == want && !p.Noisy() {
+			p.tr.Count(CtrExpectAccepts, 1)
+			return out, faults, nil
+		}
 		key := "out:" + out
 		if err != nil {
 			key = "err:" + err.Error() + "\x00" + out
@@ -521,9 +528,7 @@ func (p *Prober) quorumExecute(img *asm.Image) (out string, faults int, err erro
 			conflict = true
 			p.tr.Count(CtrQuorumConflicts, 1)
 			p.tr.QuorumEscalation(run + 1)
-			p.mu.Lock()
-			p.noisy = true
-			p.mu.Unlock()
+			p.latch()
 		}
 		need := 2
 		if conflict || p.Noisy() {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"srcg/internal/asm"
+	"srcg/internal/obs"
 	"srcg/internal/target"
 )
 
@@ -71,11 +72,17 @@ func (s *scripted) Execute(img *asm.Image) (string, error) {
 var _ target.Toolchain = (*scripted)(nil)
 
 // cfg is a small deterministic policy for the tests: tight budgets so the
-// scripts stay short, no Sleep hook (retries must not touch a wall clock).
+// scripts stay short.
 func cfg(retries, quorum int) Config {
 	return Config{Retries: retries, BackoffBase: time.Millisecond,
 		BackoffCap: 4 * time.Millisecond, QuorumN: quorum}
 }
+
+// recorder is a sink keeping every event its tracer emits.
+type recorder struct{ events []obs.Event }
+
+func (r *recorder) Emit(e obs.Event) { r.events = append(r.events, e) }
+func (r *recorder) Flush() error     { return nil }
 
 func TestRetryAbsorbsTransientFaults(t *testing.T) {
 	tc := &scripted{compile: []step{
@@ -134,23 +141,32 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestBackoffScheduleIsCappedAndDeterministic reads each scheduled delay
+// from the retry events: the schedule doubles up to the cap, and the
+// accounted total matches what the events announced.
 func TestBackoffScheduleIsCappedAndDeterministic(t *testing.T) {
 	script := make([]step, 6)
 	for i := range script {
 		script[i] = step{err: &flake{"busy"}}
 	}
-	var slept []time.Duration
+	rec := &recorder{}
 	c := cfg(5, 1)
-	c.Sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.Trace = obs.New(nil, rec)
 	p := New(&scripted{compile: script}, c)
 	p.CompileC("x")
+	var scheduled []time.Duration
+	for _, e := range rec.events {
+		if e.Kind == obs.KRetry {
+			scheduled = append(scheduled, e.Dur)
+		}
+	}
 	// 1ms, 2ms, 4ms, then capped at 4ms.
 	want := []time.Duration{1e6, 2e6, 4e6, 4e6, 4e6}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v; want %v", slept, want)
+	if len(scheduled) != len(want) {
+		t.Fatalf("retry events scheduled %v; want %v", scheduled, want)
 	}
 	var total time.Duration
-	for i, d := range slept {
+	for i, d := range scheduled {
 		if d != want[i] {
 			t.Errorf("backoff[%d] = %v; want %v", i, d, want[i])
 		}
@@ -259,6 +275,90 @@ func TestPermanentExecutionErrorsVoteLikeOutputs(t *testing.T) {
 	}
 	if st := p.Stats(); st.QuorumRuns != 2 {
 		t.Errorf("stats = %+v; two agreeing faults form a quorum", st)
+	}
+}
+
+// TestExpectFirstRunMatchSettlesAlone: on a quiet prober, one run that
+// prints the expected output is the whole quorum.
+func TestExpectFirstRunMatchSettlesAlone(t *testing.T) {
+	p := New(&scripted{execute: []step{{out: "42\n"}}}, cfg(8, 7))
+	out, err := p.ExecuteExpect(&asm.Image{}, "42\n")
+	if err != nil || out != "42\n" {
+		t.Fatalf("ExecuteExpect = %q, %v; want 42", out, err)
+	}
+	st := p.Stats()
+	if st.Attempts != 1 || st.QuorumRuns != 1 || st.ExpectAccepts != 1 {
+		t.Errorf("stats = %+v; want attempts=1 quorum_runs=1 expect_accepts=1", st)
+	}
+	if p.Noisy() {
+		t.Error("a settled run must not mark the machine noisy")
+	}
+}
+
+// TestExpectMismatchCostsTodaysQuorum: a first run that differs from want
+// is the first vote of the ordinary quorum, so the answer and its cost are
+// exactly Execute's.
+func TestExpectMismatchCostsTodaysQuorum(t *testing.T) {
+	script := func() *scripted { return &scripted{execute: []step{{out: "41\n"}, {out: "41\n"}}} }
+	pe := New(script(), cfg(8, 7))
+	got, gerr := pe.ExecuteExpect(&asm.Image{}, "42\n")
+	p := New(script(), cfg(8, 7))
+	want, werr := p.Execute(&asm.Image{})
+	if got != want || gerr != werr {
+		t.Errorf("ExecuteExpect = %q, %v; Execute = %q, %v", got, gerr, want, werr)
+	}
+	if st := pe.Stats(); st.Attempts != 2 || st.QuorumRuns != 2 || st.ExpectAccepts != 0 {
+		t.Errorf("stats = %+v; want attempts=2 quorum_runs=2 expect_accepts=0", st)
+	}
+}
+
+// TestExpectTransientThenMatchSettles: a transient fault does not vote, so
+// the first voting run may still settle alone; the fault is survived once.
+func TestExpectTransientThenMatchSettles(t *testing.T) {
+	tc := &scripted{execute: []step{{err: &flake{"rsh: dropped"}}, {out: "42\n"}}}
+	p := New(tc, cfg(8, 7))
+	out, err := p.ExecuteExpect(&asm.Image{}, "42\n")
+	if err != nil || out != "42\n" {
+		t.Fatalf("ExecuteExpect = %q, %v; want 42", out, err)
+	}
+	st := p.Stats()
+	if st.Attempts != 2 || st.ExpectAccepts != 1 || st.FaultsSurvived != 1 || st.Retries != 0 {
+		t.Errorf("stats = %+v; want attempts=2 expect_accepts=1 faults_survived=1 retries=0", st)
+	}
+}
+
+// TestExpectLatchedProberNeedsThreeVotes: once the machine has been caught
+// lying, a run forged into exactly want is only one vote — the truth,
+// printed three times, outvotes it.
+func TestExpectLatchedProberNeedsThreeVotes(t *testing.T) {
+	tc := &scripted{execute: []step{
+		{out: "4X\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}, // conflict → latched
+		{out: "7\n"}, {out: "8\n"}, {out: "8\n"}, {out: "8\n"}, // forged want, then the truth
+	}}
+	p := New(tc, cfg(8, 7))
+	if _, err := p.Execute(&asm.Image{}); err != nil || !p.Noisy() {
+		t.Fatalf("setup: Execute err=%v noisy=%v; want a latched prober", err, p.Noisy())
+	}
+	out, err := p.ExecuteExpect(&asm.Image{}, "7\n")
+	if err != nil || out != "8\n" {
+		t.Fatalf("ExecuteExpect = %q, %v; the forged run must be outvoted", out, err)
+	}
+	st := p.Stats()
+	if st.ExpectAccepts != 0 || st.QuorumRuns != 4+4 {
+		t.Errorf("stats = %+v; want expect_accepts=0 quorum_runs=8", st)
+	}
+}
+
+// TestExpectQuorumN1TrustsSingleRuns: QuorumN=1 keeps trusting every single
+// run, with or without an expected output.
+func TestExpectQuorumN1TrustsSingleRuns(t *testing.T) {
+	p := New(&scripted{execute: []step{{out: "whatever"}}}, cfg(8, 1))
+	out, err := p.ExecuteExpect(&asm.Image{}, "42\n")
+	if err != nil || out != "whatever" {
+		t.Fatalf("ExecuteExpect = %q, %v", out, err)
+	}
+	if st := p.Stats(); st.QuorumRuns != 0 || st.Attempts != 1 || st.ExpectAccepts != 0 {
+		t.Errorf("QuorumN=1 must behave as before: %+v", st)
 	}
 }
 
