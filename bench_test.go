@@ -6,19 +6,10 @@
 package srcg_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"srcg"
 	"srcg/internal/experiments"
-	"srcg/internal/faulty"
-	"srcg/internal/obs"
-	"srcg/internal/probe"
 )
 
 // benchSuite shares discovery results across all benchmarks in this file,
@@ -125,174 +116,6 @@ func BenchmarkE20_VariantsAblation(b *testing.B) {
 	benchExperiment(b, "E20", "base.validated", "abl.validated")
 }
 
-// BenchmarkDiscoverEndToEnd measures a complete, uncached discovery run
-// per architecture — the headline §7.2 cost ("a complete analysis ...
-// several hours" on 1997 hardware, seconds here). The clean variant is
-// the baseline; the faulty variant runs the same discovery through the
-// fault-injecting gauntlet (10% transient errors + 10% output noise,
-// DESIGN.md §7), so clean-vs-faulty is the probe layer's resilience
-// overhead. Results are tracked over time in BENCH_discover.json.
-// benchTrajectory accumulates this process's end-to-end results; when
-// SRCG_BENCH_OUT names a file, each sub-benchmark rewrites it as a
-// one-run trajectory in the BENCH_discover.json format, so CI can
-// benchdiff a fresh run against the committed baseline.
-var benchTrajectory struct {
-	sync.Mutex
-	results map[string]obs.TrajectoryResult
-}
-
-// recordBenchResult reports the per-phase breakdown as benchmark metrics
-// and, under SRCG_BENCH_OUT, persists the trajectory entry.
-func recordBenchResult(b *testing.B, key string, d *srcg.Discovery) {
-	b.Helper()
-	// Real per-phase nanoseconds, averaged per op: the tracer carried a
-	// wall clock and accumulated all b.N iterations.
-	phases := obs.PhaseSelfNanos(d.Trace.PhaseSummary())
-	for name, ns := range phases {
-		phases[name] = ns / float64(b.N)
-	}
-	names := make([]string, 0, len(phases))
-	for name := range phases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		b.ReportMetric(phases[name], name+"_ns")
-	}
-
-	out := os.Getenv("SRCG_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	res := obs.TrajectoryResult{
-		NsPerOp:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Executions: float64(d.Rig.Stats().Executions),
-		Attempts:   float64(d.ProbeStats.Attempts),
-		Retries:    float64(d.ProbeStats.Retries),
-		Solved:     float64(len(d.Outcome.Solved)),
-		Phases:     phases,
-	}
-	benchTrajectory.Lock()
-	defer benchTrajectory.Unlock()
-	if benchTrajectory.results == nil {
-		benchTrajectory.results = map[string]obs.TrajectoryResult{}
-	}
-	benchTrajectory.results[key] = res
-	traj := obs.Trajectory{
-		Benchmark:   "BenchmarkDiscoverEndToEnd",
-		Description: "fresh run written by SRCG_BENCH_OUT for benchdiff against the committed BENCH_discover.json",
-		Runs: []obs.TrajectoryRun{{
-			Date:    time.Now().UTC().Format("2006-01-02"),
-			Go:      runtime.Version(),
-			CPU:     runtime.GOARCH,
-			Results: benchTrajectory.results,
-		}},
-	}
-	data, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkDiscoverEndToEnd(b *testing.B) {
-	for _, arch := range []string{"x86", "sparc", "mips", "alpha", "vax"} {
-		arch := arch
-		b.Run(arch+"/clean", func(b *testing.B) {
-			// One wall-clock tracer for all iterations: real time enters
-			// through clock injection at this edge only, and the phase
-			// breakdown divides out b.N afterwards.
-			tr := obs.New(obs.NewWallClock())
-			var last *srcg.Discovery
-			for i := 0; i < b.N; i++ {
-				t := srcg.NewTarget(arch)
-				d, err := srcg.Discover(t, srcg.Options{Seed: int64(i) + 1, Trace: tr})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = d
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(last.ProbeStats.Attempts), "attempts")
-			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
-			recordBenchResult(b, arch+"/clean", last)
-		})
-		b.Run(arch+"/parallel8", func(b *testing.B) {
-			// Same discovery as clean, fanned over 8 pool workers. The
-			// results are byte-identical by the determinism contract; only
-			// the wall clock may move.
-			tr := obs.New(obs.NewWallClock())
-			var last *srcg.Discovery
-			for i := 0; i < b.N; i++ {
-				t := srcg.NewTarget(arch)
-				d, err := srcg.Discover(t, srcg.Options{Seed: int64(i) + 1, Trace: tr, Workers: 8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = d
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(last.ProbeStats.Attempts), "attempts")
-			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
-			recordBenchResult(b, arch+"/parallel8", last)
-		})
-		b.Run(arch+"/warm", func(b *testing.B) {
-			// Warm-cache variant: one discovery outside the timer fills a
-			// shared content-addressed cache; the timed iterations rerun the
-			// identical discovery (same seed) and replay from it. This is
-			// the repeat-run cost the cache exists to eliminate.
-			cache := probe.NewCache()
-			warmup := srcg.NewTarget(arch)
-			if _, err := srcg.Discover(warmup, srcg.Options{Seed: 1, Workers: 8, Cache: cache,
-				Trace: obs.New(obs.NewWallClock())}); err != nil {
-				b.Fatal(err)
-			}
-			tr := obs.New(obs.NewWallClock())
-			var last *srcg.Discovery
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := srcg.NewTarget(arch)
-				d, err := srcg.Discover(t, srcg.Options{Seed: 1, Trace: tr, Workers: 8, Cache: cache})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = d
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(tr.Counter(probe.CtrCacheHits))/float64(b.N), "cache_hits")
-			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
-			recordBenchResult(b, arch+"/warm", last)
-		})
-		b.Run(arch+"/faulty", func(b *testing.B) {
-			tr := obs.New(obs.NewWallClock())
-			var last *srcg.Discovery
-			for i := 0; i < b.N; i++ {
-				t := faulty.New(srcg.NewTarget(arch),
-					faulty.Config{Seed: int64(i) + 7, Rate: 0.10, Noise: 0.10})
-				d, err := srcg.Discover(t, srcg.Options{Seed: int64(i) + 1, Trace: tr})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = d
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Rig.Stats().Executions), "executions")
-			b.ReportMetric(float64(last.ProbeStats.Attempts), "attempts")
-			b.ReportMetric(float64(last.ProbeStats.Retries), "retries")
-			b.ReportMetric(float64(len(last.Outcome.Solved)), "solved")
-			recordBenchResult(b, arch+"/faulty", last)
-		})
-	}
-}
-
-// BenchmarkRetargetedCompile measures compiling and running a program
-// through a generated back end (the inner loop of a self-retargeted
-// compiler), excluding the one-time discovery.
 // BenchmarkDiscoverFullShape measures discovery with the complete §3
 // operand-shape sample set (105 samples, the paper's scale) on one CISC
 // and one RISC target.
@@ -317,6 +140,9 @@ func BenchmarkDiscoverFullShape(b *testing.B) {
 	}
 }
 
+// BenchmarkRetargetedCompile measures compiling and running a program
+// through a generated back end (the inner loop of a self-retargeted
+// compiler), excluding the one-time discovery.
 func BenchmarkRetargetedCompile(b *testing.B) {
 	for _, arch := range []string{"x86", "sparc"} {
 		arch := arch

@@ -261,7 +261,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 				if baselines[i] != nil {
 					return analyzed{err: baselines[i]}
 				}
-				eng.AssumeBaseline(s, 0)
+				eng.AssumeBaseline(s)
 			}
 			a, err := eng.Analyze(s)
 			return analyzed{a, err}

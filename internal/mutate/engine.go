@@ -18,37 +18,17 @@ import (
 	"srcg/internal/discovery"
 )
 
-// FNV-64a, inlined over strings: the mutation cache keys a full rebuilt
-// sample text per probe, and hash/fnv would force a []byte copy of it.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvAdd(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// Telemetry names the mutation engine maintains on the rig's tracer: the
-// mutation cache's hit/miss split, the denominator of the probe-savings
-// story (a hit is a toolchain round-trip never made).
-const (
-	CtrCacheHits   = "mutate.cache_hits"
-	CtrCacheMisses = "mutate.cache_misses"
-)
-
-// Engine runs mutated samples against the target and caches results.
+// Engine runs mutated samples against the target. Every mutant is
+// probed afresh; the only verdict it takes on trust is its sample's base
+// valuation, when a CheckBaseline elsewhere already passed it
+// (AssumeBaseline).
 type Engine struct {
 	Rig   *discovery.Rig
 	Model *discovery.Model
 	Rand  *rand.Rand
 
 	initUnits map[string]*asm.Unit
-	cache     map[uint64]bool
+	baseOK    *discovery.Sample
 }
 
 // New creates a mutation engine.
@@ -58,7 +38,6 @@ func New(rig *discovery.Rig, m *discovery.Model, rnd *rand.Rand) *Engine {
 		Model:     m,
 		Rand:      rnd,
 		initUnits: map[string]*asm.Unit{},
-		cache:     map[uint64]bool{},
 	}
 }
 
@@ -106,7 +85,12 @@ func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, va
 // output under valuation val. Unlike a mutant's check it runs the full
 // output quorum: this is the baseline mutants are compared against, and
 // on a lying machine its disagreeing runs trip the prober's noisy latch.
+// The base valuation of an assumed sample (AssumeBaseline) passes
+// without a probe.
 func (e *Engine) CheckBaseline(s *discovery.Sample, val int) error {
+	if val == 0 && s == e.baseOK {
+		return nil
+	}
 	if !e.sameOutputVal(s, s.Region, val, false) {
 		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", s.Name)
 	}
@@ -114,66 +98,44 @@ func (e *Engine) CheckBaseline(s *discovery.Sample, val int) error {
 }
 
 // AssumeBaseline records that the unmutated sample reproduces its expected
-// output under valuation val, as a CheckBaseline on another engine found;
-// this engine's own check then replays the verdict instead of re-probing.
-func (e *Engine) AssumeBaseline(s *discovery.Sample, val int) {
-	e.cache[verdictKey(s, s.Rebuild(s.Region), val)] = true
-}
-
-// verdictKey addresses one SameOutputVal verdict: sample, valuation, and
-// the rebuilt sample text.
-func verdictKey(s *discovery.Sample, text string, val int) uint64 {
-	key := fnvAdd(fnvOffset64, s.Name)
-	key = (key ^ uint64(byte(val))) * fnvPrime64
-	return fnvAdd(key, text)
+// output under its base valuation, as a CheckBaseline on another engine
+// found; this engine's own check of that one valuation then passes
+// without re-probing.
+func (e *Engine) AssumeBaseline(s *discovery.Sample) {
+	e.baseOK = s
 }
 
 func (e *Engine) sameOutputVal(s *discovery.Sample, region []discovery.Instr, val int, expect bool) bool {
-	v := s.Valuation(val)
-	text := s.Rebuild(region)
-	key := verdictKey(s, text, val)
-	if cached, ok := e.cache[key]; ok {
-		e.Rig.Trace().Count(CtrCacheHits, 1)
-		return cached
+	want := s.Valuation(val).ExpectedOut
+	run := e.Rig.LinkRun
+	if expect {
+		run = func(units ...*asm.Unit) (string, error) { return e.Rig.LinkRunExpect(want, units...) }
 	}
-	e.Rig.Trace().Count(CtrCacheMisses, 1)
-	e.Rig.Trace().Count(discovery.CtrMutations, 1)
-	same := func() bool {
-		u, err := e.Rig.Assemble(text)
-		if err != nil {
-			return false
-		}
-		initU, err := e.initUnit(v.InitSource)
-		if err != nil {
-			return false
-		}
-		var out string
-		if expect {
-			out, err = e.Rig.LinkRunExpect(v.ExpectedOut, u, initU)
-		} else {
-			out, err = e.Rig.LinkRun(u, initU)
-		}
-		return err == nil && out == v.ExpectedOut
-	}()
-	e.cache[key] = same
-	return same
+	out, err := e.runMutant(s, region, val, run)
+	return err == nil && out == want
 }
 
 // OutputOf runs the sample with a replacement region under valuation val
 // and returns the raw stdout (for analyses that compare against something
 // other than the original output, e.g. the Synthesizer's jump probe).
 func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int) (string, error) {
-	v := s.Valuation(val)
+	return e.runMutant(s, region, val, e.Rig.LinkRun)
+}
+
+// runMutant assembles the sample rebuilt around region, links it with
+// valuation val's initializer, and runs it through run.
+func (e *Engine) runMutant(s *discovery.Sample, region []discovery.Instr, val int,
+	run func(units ...*asm.Unit) (string, error)) (string, error) {
+	e.Rig.Trace().Count(discovery.CtrMutations, 1)
 	u, err := e.Rig.Assemble(s.Rebuild(region))
 	if err != nil {
 		return "", err
 	}
-	initU, err := e.initUnit(v.InitSource)
+	initU, err := e.initUnit(s.Valuation(val).InitSource)
 	if err != nil {
 		return "", err
 	}
-	e.Rig.Trace().Count(discovery.CtrMutations, 1)
-	return e.Rig.LinkRun(u, initU)
+	return run(u, initU)
 }
 
 // clobberValues returns n distinct pseudo-random clobber constants. The

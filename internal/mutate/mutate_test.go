@@ -44,26 +44,35 @@ func analyze(t *testing.T, e *Engine, s *discovery.Sample) *Analysis {
 }
 
 // TestBaselineRunsFullQuorum: a baseline is never settled by the one-run
-// expect shortcut, and an assumed baseline replays without a probe.
+// expect shortcut, and an assumed baseline covers exactly one sample's
+// base valuation: that check makes no toolchain call, while any other
+// valuation or sample still runs the full quorum.
 func TestBaselineRunsFullQuorum(t *testing.T) {
 	e, samples := setup(t, x86.New())
-	s := samples["int.add.b_c"]
-	before := e.Rig.ProbeStats()
-	if err := e.CheckBaseline(s, 1); err != nil {
-		t.Fatal(err)
+	s, other := samples["int.add.b_c"], samples["int.sub.b_c"]
+	checkQuorum := func(s *discovery.Sample, val int) {
+		t.Helper()
+		before := e.Rig.ProbeStats()
+		if err := e.CheckBaseline(s, val); err != nil {
+			t.Fatal(err)
+		}
+		after := e.Rig.ProbeStats()
+		if runs := after.QuorumRuns - before.QuorumRuns; runs != 2 || after.ExpectAccepts != before.ExpectAccepts {
+			t.Errorf("%s baseline %d spent %d runs, %d expect accepts; want the 2-run quorum, none",
+				s.Name, val, runs, after.ExpectAccepts-before.ExpectAccepts)
+		}
 	}
-	after := e.Rig.ProbeStats()
-	if runs := after.QuorumRuns - before.QuorumRuns; runs != 2 || after.ExpectAccepts != before.ExpectAccepts {
-		t.Errorf("baseline spent %d runs, %d expect accepts; want the 2-run quorum, none",
-			runs, after.ExpectAccepts-before.ExpectAccepts)
-	}
-	e.AssumeBaseline(s, 0)
+	checkQuorum(s, 1)
+	e.AssumeBaseline(s)
+	before := e.Rig.ProbeStats().Attempts
 	if err := e.CheckBaseline(s, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Rig.ProbeStats().Attempts; got != after.Attempts {
-		t.Errorf("an assumed baseline made %d toolchain calls; want 0", got-after.Attempts)
+	if got := e.Rig.ProbeStats().Attempts; got != before {
+		t.Errorf("an assumed baseline made %d toolchain calls; want 0", got-before)
 	}
+	checkQuorum(s, 1)
+	checkQuorum(other, 0)
 }
 
 func TestAlphaRedundantElimination(t *testing.T) {

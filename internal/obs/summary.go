@@ -33,16 +33,3 @@ func FormatPhaseTable(phases []PhaseStat) string {
 	}
 	return sb.String()
 }
-
-// PhaseSelfNanos flattens a summary into name → exclusive nanoseconds,
-// the shape the bench trajectory records per target.
-func PhaseSelfNanos(phases []PhaseStat) map[string]float64 {
-	if len(phases) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(phases))
-	for _, p := range phases {
-		out[p.Name] = float64(p.Self)
-	}
-	return out
-}
