@@ -63,10 +63,8 @@ func (e *Engine) Analyze(s *discovery.Sample) (*Analysis, error) {
 		UseDefs: map[string][]int{},
 		AWriter: -1,
 	}
-	for i := 0; i < s.NumValuations(); i++ {
-		if err := e.CheckBaseline(s, i); err != nil {
-			return nil, err
-		}
+	if err := e.checkBaselines(s); err != nil {
+		return nil, err
 	}
 	if err := e.normalizeDelaySlots(a); err != nil {
 		return nil, err
@@ -622,10 +620,11 @@ func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
 		for i := range mut {
 			mut[i].RenameReg(path, cand)
 		}
+		m := e.build(a.Sample, mut)
 		var value int64
 		hard := true
 		for vi := 0; vi < a.Sample.NumValuations(); vi++ {
-			outStr, err := e.OutputOf(a.Sample, mut, vi)
+			outStr, err := e.run(m, vi, false)
 			if err != nil {
 				hard = false
 				break

@@ -58,17 +58,12 @@ func (e *Engine) initUnit(src string) (*asm.Unit, error) {
 	return u, nil
 }
 
-// SameOutput assembles, links, and runs the sample with a replacement
-// region under EVERY valuation, reporting whether all still produce the
-// expected outputs. Any failure (assembly rejection, link error, runtime
-// fault, wrong output) counts as "behaved differently".
+// SameOutput assembles the sample with a replacement region once, then
+// links and runs it under EVERY valuation, reporting whether all still
+// produce the expected outputs. Any failure (assembly rejection, link
+// error, runtime fault, wrong output) counts as "behaved differently".
 func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool {
-	for i := 0; i < s.NumValuations(); i++ {
-		if !e.SameOutputVal(s, region, i) {
-			return false
-		}
-	}
-	return true
+	return e.sameAll(e.build(s, region))
 }
 
 // SameOutputVal checks a single valuation (index 0 is the base). The
@@ -78,7 +73,7 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 // exact reference, so on a machine never caught lying one run that
 // reproduces it settles the verdict.
 func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, val int) bool {
-	return e.sameOutputVal(s, region, val, true)
+	return e.same(e.build(s, region), val, true)
 }
 
 // CheckBaseline fails unless the unmutated sample reproduces its expected
@@ -91,8 +86,31 @@ func (e *Engine) CheckBaseline(s *discovery.Sample, val int) error {
 	if val == 0 && s == e.baseOK {
 		return nil
 	}
-	if !e.sameOutputVal(s, s.Region, val, false) {
-		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", s.Name)
+	return e.checkBaseline(e.build(s, s.Region), val)
+}
+
+// checkBaselines is CheckBaseline on every valuation of s, sharing one
+// assembly of the unmutated sample.
+func (e *Engine) checkBaselines(s *discovery.Sample) error {
+	first := 0
+	if s == e.baseOK {
+		first = 1
+	}
+	if first == s.NumValuations() {
+		return nil
+	}
+	m := e.build(s, s.Region)
+	for val := first; val < s.NumValuations(); val++ {
+		if err := e.checkBaseline(m, val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *Engine) checkBaseline(m mutant, val int) error {
+	if !e.same(m, val, false) {
+		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", m.s.Name)
 	}
 	return nil
 }
@@ -105,37 +123,64 @@ func (e *Engine) AssumeBaseline(s *discovery.Sample) {
 	e.baseOK = s
 }
 
-func (e *Engine) sameOutputVal(s *discovery.Sample, region []discovery.Instr, val int, expect bool) bool {
-	want := s.Valuation(val).ExpectedOut
-	run := e.Rig.LinkRun
-	if expect {
-		run = func(units ...*asm.Unit) (string, error) { return e.Rig.LinkRunExpect(want, units...) }
-	}
-	out, err := e.runMutant(s, region, val, run)
-	return err == nil && out == want
-}
-
 // OutputOf runs the sample with a replacement region under valuation val
 // and returns the raw stdout (for analyses that compare against something
 // other than the original output, e.g. the Synthesizer's jump probe).
 func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int) (string, error) {
-	return e.runMutant(s, region, val, e.Rig.LinkRun)
+	return e.run(e.build(s, region), val, false)
 }
 
-// runMutant assembles the sample rebuilt around region, links it with
-// valuation val's initializer, and runs it through run.
-func (e *Engine) runMutant(s *discovery.Sample, region []discovery.Instr, val int,
-	run func(units ...*asm.Unit) (string, error)) (string, error) {
-	e.Rig.Trace().Count(discovery.CtrMutations, 1)
+// mutant is a sample rebuilt around a replacement region and assembled
+// once. The text does not depend on the valuation, which lives in its own
+// initializer unit, so one assembly serves every valuation's link and
+// run. err is the assembler's rejection, if any.
+type mutant struct {
+	s   *discovery.Sample
+	u   *asm.Unit
+	err error
+}
+
+// build assembles the sample rebuilt around region.
+func (e *Engine) build(s *discovery.Sample, region []discovery.Instr) mutant {
 	u, err := e.Rig.Assemble(s.Rebuild(region))
+	return mutant{s: s, u: u, err: err}
+}
+
+// run links m with valuation val's initializer and executes it, counting
+// one mutation. A rejected mutant counts its mutation and fails. With
+// expect, the run goes through Rig.LinkRunExpect against the valuation's
+// expected output.
+func (e *Engine) run(m mutant, val int, expect bool) (string, error) {
+	e.Rig.Trace().Count(discovery.CtrMutations, 1)
+	if m.err != nil {
+		return "", m.err
+	}
+	v := m.s.Valuation(val)
+	initU, err := e.initUnit(v.InitSource)
 	if err != nil {
 		return "", err
 	}
-	initU, err := e.initUnit(s.Valuation(val).InitSource)
-	if err != nil {
-		return "", err
+	if expect {
+		return e.Rig.LinkRunExpect(v.ExpectedOut, m.u, initU)
 	}
-	return run(u, initU)
+	return e.Rig.LinkRun(m.u, initU)
+}
+
+// same reports whether m reproduces valuation val's expected output.
+func (e *Engine) same(m mutant, val int, expect bool) bool {
+	out, err := e.run(m, val, expect)
+	return err == nil && out == m.s.Valuation(val).ExpectedOut
+}
+
+// sameAll reports whether m reproduces the expected output under every
+// valuation, stopping at the first that differs.
+func (e *Engine) sameAll(m mutant) bool {
+	for val := 0; val < m.s.NumValuations(); val++ {
+		if !e.same(m, val, true) {
+			return false
+		}
+	}
+	return true
 }
 
 // clobberValues returns n distinct pseudo-random clobber constants. The

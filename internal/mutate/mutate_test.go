@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"srcg/internal/asm"
 	"srcg/internal/discovery"
 	"srcg/internal/gen"
 	"srcg/internal/lexer"
@@ -73,6 +74,78 @@ func TestBaselineRunsFullQuorum(t *testing.T) {
 	}
 	checkQuorum(s, 1)
 	checkQuorum(other, 0)
+}
+
+// textCounter counts how often the assembler sees each text.
+type textCounter struct {
+	target.Toolchain
+	texts map[string]int
+}
+
+func (c *textCounter) Assemble(text string) (*asm.Unit, error) {
+	c.texts[text]++
+	return c.Toolchain.Assemble(text)
+}
+
+// TestOneAssemblyPerMutant: a mutant's text does not depend on the
+// valuation, which lives in its own initializer unit, so the engine
+// assembles each mutant once and links and runs that one unit under
+// every valuation it checks.
+func TestOneAssemblyPerMutant(t *testing.T) {
+	tc := &textCounter{Toolchain: x86.New(), texts: map[string]int{}}
+	e, samples := setup(t, tc)
+	s := samples["int.add.b_c"]
+	v := s.NumValuations()
+	if v < 2 {
+		t.Fatalf("%s has %d valuations; the test needs several", s.Name, v)
+	}
+	cost := func(what string, assemblies, links, mutations int, f func()) {
+		t.Helper()
+		before := e.Rig.Stats()
+		f()
+		after := e.Rig.Stats()
+		got := [3]int{after.Assemblies - before.Assemblies, after.Links - before.Links, after.Mutations - before.Mutations}
+		if want := [3]int{assemblies, links, mutations}; got != want {
+			t.Errorf("%s cost %d assemblies, %d links, %d mutations; want %v", what, got[0], got[1], got[2], want)
+		}
+	}
+	// The first check also assembles each valuation's initializer, once
+	// per engine; every later check reuses them.
+	if !e.SameOutput(s, s.Region) {
+		t.Fatal("the unmutated sample does not reproduce its output")
+	}
+	cost("a passing SameOutput", 1, v, v, func() {
+		if !e.SameOutput(s, Insert(s.Region, 0, e.ClobberInstr("%edi", 5))) {
+			t.Error("clobbering an unused register changed the output")
+		}
+	})
+	cost("a rejected mutant", 1, 0, 1, func() {
+		if e.SameOutput(s, Insert(s.Region, 0, discovery.Instr{Op: "bogus"})) {
+			t.Error("a mutant the assembler rejects reproduced the output")
+		}
+	})
+
+	base := s.Rebuild(s.Region)
+	before := tc.texts[base]
+	analyze(t, e, s)
+	if n := tc.texts[base] - before; n != 1 {
+		t.Errorf("Analyze assembled the unmutated sample %d times; want once for all %d valuations", n, v)
+	}
+
+	// An assumed base valuation is skipped; every other valuation still
+	// spends the full 2-run quorum, all on the one assembly.
+	e.AssumeBaseline(s)
+	probes := e.Rig.ProbeStats()
+	cost("the baseline check after AssumeBaseline", 1, v-1, v-1, func() {
+		if err := e.checkBaselines(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := e.Rig.ProbeStats()
+	if runs := after.QuorumRuns - probes.QuorumRuns; runs != 2*(v-1) || after.ExpectAccepts != probes.ExpectAccepts {
+		t.Errorf("baseline check spent %d quorum runs, %d expect accepts; want %d, none",
+			runs, after.ExpectAccepts-probes.ExpectAccepts, 2*(v-1))
+	}
 }
 
 func TestAlphaRedundantElimination(t *testing.T) {

@@ -65,12 +65,12 @@ func (e *Engine) renameWorks(a *Analysis, reg string, idxs []int) bool {
 		for _, k := range e.clobberValues(2) {
 			mut := RenameAt(a.Region, idxs, reg, r2)
 			mut = Insert(mut, idxs[0], e.ClobberInstr(r2, k))
-			text := s.Rebuild(mut)
-			if u, err := e.Rig.Assemble(text); err != nil || u == nil {
+			m := e.build(s, mut)
+			if m.err != nil {
 				applicable = false // register class mismatch, not semantics
 				break
 			}
-			if !e.SameOutput(s, mut) {
+			if !e.sameAll(m) {
 				ok = false
 				break
 			}
@@ -134,11 +134,11 @@ func (e *Engine) pureUse(a *Analysis, reg string, chain []int, probe int) bool {
 			}
 		}
 		mut[probe+shift].RenameReg(reg, r2)
-		text := a.Sample.Rebuild(mut)
-		if u, err := e.Rig.Assemble(text); err != nil || u == nil {
+		m := e.build(a.Sample, mut)
+		if m.err != nil {
 			continue // class mismatch: try another register
 		}
-		return e.SameOutput(a.Sample, mut)
+		return e.sameAll(m)
 	}
 	// No applicable replacement register: conservatively call it a use-def.
 	return false
