@@ -18,6 +18,7 @@ package faulty
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,14 +112,14 @@ type Toolchain struct {
 	inner target.Toolchain
 	cfg   Config
 
-	mu        sync.Mutex
-	rnd       *rand.Rand
-	calls     int
-	enabled   [numKinds]bool
-	injected  map[Kind]int
-	noised    int
-	corrupts  int    // corruption events so far (salts each corruption)
-	lastTrunc string // previous truncation result (never repeated twice running)
+	mu       sync.Mutex
+	rnd      *rand.Rand
+	calls    int
+	enabled  [numKinds]bool
+	injected map[Kind]int
+	noised   int
+	corrupts int      // corruption events so far (salts each corruption)
+	recent   []string // the last corruptWindow corrupted outputs, oldest first
 }
 
 var _ target.Toolchain = (*Toolchain)(nil)
@@ -243,14 +244,15 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 		t.mu.Unlock()
 		out = t.corrupt(out, Garble)
 	}
+	if injErr != nil || noise {
+		out = t.unrepeated(out)
+	}
 	return out, err
 }
 
-// corrupt damages an output string. Each corruption is salted by a
-// monotonic event counter, so two runs of the same program inside one
-// quorum window cannot lie the same way twice — the fault-model property
-// the probe layer's quorum relies on (DESIGN §7): noise never repeats
-// fast enough to outvote the truth.
+// corrupt damages an output string: an empty one becomes a marker salted
+// by the monotonic event counter, a truncation cuts it short, and a
+// garble turns one character into another digit.
 func (t *Toolchain) corrupt(out string, kind Kind) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -258,26 +260,41 @@ func (t *Toolchain) corrupt(out string, kind Kind) string {
 	if len(out) == 0 {
 		return fmt.Sprintf("\x00garbled%d", t.corrupts)
 	}
-	switch kind {
-	case Truncate:
-		res := out[:t.rnd.Intn(len(out))]
-		if res == t.lastTrunc { // never serve the same short read twice running
-			if len(res) > 0 {
-				res = res[:len(res)-1]
-			} else {
-				res = out[:1]
-			}
-		}
-		t.lastTrunc = res
-		return res
-	default: // Garble
-		pos := t.rnd.Intn(len(out))
-		b := []byte(out)
-		repl := byte('0' + (t.rnd.Intn(10)+t.corrupts)%10)
-		if repl == b[pos] {
-			repl = '0' + (repl-'0'+1)%10
-		}
-		b[pos] = repl
-		return string(b)
+	if kind == Truncate {
+		return out[:t.rnd.Intn(len(out))]
 	}
+	pos := t.rnd.Intn(len(out))
+	b := []byte(out)
+	repl := byte('0' + (t.rnd.Intn(10)+t.corrupts)%10)
+	if repl == b[pos] {
+		repl = '0' + (repl-'0'+1)%10
+	}
+	b[pos] = repl
+	return string(b)
+}
+
+// corruptWindow is how many of the latest corrupted outputs a new one
+// must differ from. It exceeds the probe layer's default quorum of 7
+// runs, so within one quorum every wrong answer the injector serves is a
+// different one.
+const corruptWindow = 16
+
+// unrepeated returns a corrupted run's output, or a fresh marker salted by
+// the event counter when the output repeats one of the last corruptWindow
+// corrupted outputs, as a garbled or truncated short output readily does.
+// So two runs of the same program inside one quorum window cannot lie the
+// same way twice — the fault-model property the probe layer's quorum
+// relies on (DESIGN §7): noise never repeats fast enough to outvote the
+// truth.
+func (t *Toolchain) unrepeated(out string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if slices.Contains(t.recent, out) {
+		out = fmt.Sprintf("\x00garbled%d", t.corrupts)
+	}
+	t.recent = append(t.recent, out)
+	if len(t.recent) > corruptWindow {
+		t.recent = t.recent[1:]
+	}
+	return out
 }

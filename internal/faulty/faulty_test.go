@@ -144,21 +144,39 @@ func TestScheduleIsDeterministic(t *testing.T) {
 }
 
 // TestCorruptionNeverRepeatsBackToBack: the quorum's safety rests on noise
-// not lying the same way twice running — consecutive corrupted runs of one
-// program must disagree with each other.
+// not lying the same way twice running — no corrupted run of a program may
+// repeat any of the last corruptWindow corruptions, or noise could outvote
+// the truth inside one quorum. A three-character output has only a few
+// dozen garbles and truncations, so the draws alone would repeat often.
 func TestCorruptionNeverRepeatsBackToBack(t *testing.T) {
-	for _, kind := range []Kind{Truncate, Garble} {
-		tc := New(&echo{out: "31415926\n"}, Config{Seed: 9, Rate: 1, Kinds: []Kind{kind}})
-		prev := ""
-		for i := 0; i < 500; i++ {
-			out, err := tc.Execute(&asm.Image{})
-			if err != nil {
-				t.Fatal(err)
+	for _, cfg := range []Config{
+		{Seed: 9, Rate: 1, Kinds: []Kind{Truncate}},
+		{Seed: 9, Rate: 1, Kinds: []Kind{Garble}},
+		{Seed: 9, Rate: 0, Noise: 1},
+		{Seed: 9, Rate: 0.5, Noise: 0.5, Kinds: []Kind{Truncate, Garble}},
+	} {
+		for _, want := range []string{"31415926\n", "-7\n"} {
+			tc := New(&echo{out: want}, cfg)
+			var recent []string
+			for i := 0; i < 500; i++ {
+				out, err := tc.Execute(&asm.Image{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out == want {
+					continue
+				}
+				for j, prev := range recent {
+					if out == prev {
+						t.Fatalf("%+v on %q: run %d repeated %q from %d corruptions back",
+							cfg, want, i, out, len(recent)-j)
+					}
+				}
+				recent = append(recent, out)
+				if len(recent) > corruptWindow {
+					recent = recent[1:]
+				}
 			}
-			if i > 0 && out == prev && kind == Truncate {
-				t.Fatalf("%v: run %d repeated %q back to back", kind, i, out)
-			}
-			prev = out
 		}
 	}
 	// Empty outputs corrupt to distinct markers every time.
