@@ -27,10 +27,8 @@ import (
 
 // Options configures a discovery run.
 type Options struct {
-	Seed    int64
-	Full    bool // use the complete §3 shape set
-	Weights extract.Weights
-	Budget  int // reverse-interpreter candidate budget per sample (0 = default)
+	Seed int64
+	Full bool // use the complete §3 shape set
 	// SignedShifts enables the ash-primitive extension (beyond the
 	// paper): the reverse interpreter may use a signed-count shift,
 	// resolving the VAX ashl limitation of §5.2.3.
@@ -50,17 +48,9 @@ type Options struct {
 	// synthesized spec: coverage closure, rule shadowing, symbolic
 	// template verification, structural invariants. Implies Check.
 	CheckMD bool
-	// ProbeRetries caps the transient-fault retries the probe layer spends
-	// per toolchain interaction (0 = probe.DefaultRetries).
-	ProbeRetries int
 	// QuorumN caps the executions spent seeking an output quorum per run
 	// (0 = probe.DefaultQuorumN; 1 trusts single runs — no re-probing).
 	QuorumN int
-	// CheckRetries is the checker-gated retry budget: how many times a
-	// sample whose data-flow graph draws an Error-severity diagnostic has
-	// its mutation analysis re-run with a fresh seed before the sample is
-	// dropped. Effective only with Check; 0 means DefaultCheckRetries.
-	CheckRetries int
 	// Trace receives the run's telemetry: phase spans, per-probe events,
 	// counters, histograms. Nil gets a private sink-less tracer on a
 	// virtual clock, so phase attribution and counters always exist. The
@@ -80,7 +70,7 @@ type Options struct {
 	// quorum-accepted run output): a repeat discovery replays memoized
 	// probes instead of re-interrogating the toolchain, with traces
 	// byte-identical to the cold run. Share one Cache only between runs
-	// with the same ProbeRetries/QuorumN policy.
+	// with the same QuorumN policy.
 	Cache *probe.Cache
 }
 
@@ -92,8 +82,9 @@ const (
 	CtrSamplesDropped = "core.samples_dropped"
 )
 
-// DefaultCheckRetries is the checker-gated retry budget when the caller
-// does not set one.
+// DefaultCheckRetries is the checker-gated retry budget: how many times a
+// sample whose data-flow graph draws an Error-severity diagnostic has its
+// mutation analysis re-run with a fresh seed before the sample is dropped.
 const DefaultCheckRetries = 2
 
 // constantExpect reports whether every valuation of s expects the same
@@ -152,9 +143,6 @@ type Discovery struct {
 
 // Discover runs the full pipeline up to semantic extraction.
 func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
-	if opts.Weights == (extract.Weights{}) {
-		opts.Weights = extract.DefaultWeights
-	}
 	if opts.CheckMD {
 		opts.Check = true // the MD analyzer extends the checker layer
 	}
@@ -163,7 +151,6 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 		tr = obs.New(nil)
 	}
 	probeCfg := probe.DefaultConfig()
-	probeCfg.Retries = opts.ProbeRetries
 	probeCfg.QuorumN = opts.QuorumN
 	probeCfg.Trace = tr
 	probeCfg.Cache = opts.Cache
@@ -298,10 +285,6 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			model.Hardwired = engine.DetectHardwired(a)
 		}
 
-		checkRetries := opts.CheckRetries
-		if checkRetries <= 0 {
-			checkRetries = DefaultCheckRetries
-		}
 		for _, s := range samples {
 			a, ok := d.Analyses[s.Name]
 			if !ok {
@@ -328,7 +311,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			// is dropped with a diagnostic.
 			if opts.Check {
 				diags := check.VerifyGraph(model, a, g)
-				for retry := 1; countErrors(diags) > 0 && retry <= checkRetries; retry++ {
+				for retry := 1; countErrors(diags) > 0 && retry <= DefaultCheckRetries; retry++ {
 					tr.Count(CtrCheckRetries, 1)
 					retryEngine := mutate.New(rig, model, rand.New(rand.NewSource(retrySeed(opts.Seed, s.Name, retry))))
 					a2, err := retryEngine.Analyze(s)
@@ -352,7 +335,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 				}
 				if countErrors(diags) > 0 {
 					reason := fmt.Sprintf("dropped by checker gate after %d retries: %s",
-						checkRetries, diags[0].String())
+						DefaultCheckRetries, diags[0].String())
 					d.Dropped[s.Name] = reason
 					d.Skipped[s.Name] = reason
 					delete(d.Analyses, s.Name)
@@ -381,12 +364,9 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			}
 		}
 
-		d.Ext = extract.New(model.WordBits, opts.Weights, extract.MBoosts(d.Matches))
+		d.Ext = extract.New(model.WordBits, extract.DefaultWeights, extract.MBoosts(d.Matches))
 		d.Ext.Tr = tr
 		d.Ext.SignedShifts = opts.SignedShifts
-		if opts.Budget > 0 {
-			d.Ext.Budget = opts.Budget
-		}
 		d.Outcome = d.Ext.SolveAll(d.ExtractionGraphs())
 		return nil
 	})

@@ -121,15 +121,18 @@ func TestDoubleRunDiscoveryByteIdentical(t *testing.T) {
 // from the now-warm cache must produce byte-identical reports, specs, and
 // telemetry traces (cache counters are unsealed, so the sealed stream
 // cannot see the cache state), while the warm run demonstrably replays —
-// its probe.cache_hits counter exceeds the cold run's.
+// its probe.cache_hits counter exceeds the cold run's. A third discovery
+// without any cache runs its probes inline rather than on forked
+// tracers, and its trace must match the cold one byte for byte too.
 func TestProbeCacheColdWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full discoveries")
 	}
 	cache := probe.NewCache()
-	var cold, warm bytes.Buffer
+	var cold, warm, none bytes.Buffer
 	trCold := obs.New(nil, obs.NewJSONLSink(&cold))
 	trWarm := obs.New(nil, obs.NewJSONLSink(&warm))
+	trNone := obs.New(nil, obs.NewJSONLSink(&none))
 	opts := Options{Seed: 1, Workers: parallelWorkers(), Cache: cache}
 
 	o1 := opts
@@ -157,15 +160,25 @@ func TestProbeCacheColdWarm(t *testing.T) {
 		t.Errorf("warm run hit the cache %d times, cold run %d — the warm run should replay more", warmHits, coldHits)
 	}
 
-	if err := trCold.Flush(); err != nil {
-		t.Fatalf("flush cold trace: %v", err)
+	o3 := opts
+	o3.Trace = trNone
+	o3.Cache = nil
+	if _, err := Discover(gauntletTargets[0].ctor(), o3); err != nil {
+		t.Fatalf("cache-less discovery failed: %v", err)
 	}
-	if err := trWarm.Flush(); err != nil {
-		t.Fatalf("flush warm trace: %v", err)
+
+	for _, tr := range []*obs.Tracer{trCold, trWarm, trNone} {
+		if err := tr.Flush(); err != nil {
+			t.Fatalf("flush trace: %v", err)
+		}
 	}
 	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
 		t.Errorf("JSONL traces differ between cold and warm cache runs:\n%s",
 			firstDiffLine(cold.String(), warm.String()))
+	}
+	if !bytes.Equal(cold.Bytes(), none.Bytes()) {
+		t.Errorf("JSONL traces differ between cold-cache and cache-less runs:\n%s",
+			firstDiffLine(cold.String(), none.String()))
 	}
 	if r1, r2 := d1.Report(), d2.Report(); r1 != r2 {
 		t.Errorf("reports differ between cold and warm cache runs:\n%s", firstDiffLine(r1, r2))

@@ -142,6 +142,32 @@ func (c *CPU) Tick() error {
 	return nil
 }
 
+// Run steps the CPU from its PC until it halts and returns what it
+// printed, with the first error. Each step consumes one tick of the
+// budget and must find the PC inside the n instructions of the code (an
+// escape is reported under the arch name); step executes the instruction
+// at pc and returns the next PC, and a memory fault latched during the
+// step ends the run.
+func (c *CPU) Run(arch string, n int, step func(pc int) (int, error)) (string, error) {
+	for !c.Halted {
+		if err := c.Tick(); err != nil {
+			return c.Out.String(), err
+		}
+		if c.PC < 0 || c.PC >= n {
+			return c.Out.String(), fmt.Errorf("%s: PC %d outside code [0,%d)", arch, c.PC, n)
+		}
+		next, err := step(c.PC)
+		if err != nil {
+			return c.Out.String(), err
+		}
+		if err := c.Mem.Fault(); err != nil {
+			return c.Out.String(), err
+		}
+		c.PC = next
+	}
+	return c.Out.String(), nil
+}
+
 // Printf implements the runtime printf used by samples: only the directives
 // the Generator emits (%i, %d, %%) are supported.
 func (c *CPU) Printf(format string, args []int64) error {

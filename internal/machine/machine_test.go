@@ -108,3 +108,39 @@ func TestStepBudget(t *testing.T) {
 		t.Error("budget exhaustion must error")
 	}
 }
+
+// TestRunExits pins the shared run loop's exits. The probe layer votes on
+// error strings, so an escaped PC and a latched fault must read the same
+// on every target.
+func TestRunExits(t *testing.T) {
+	c := NewCPU()
+	out, err := c.Run("toy", 2, func(pc int) (int, error) {
+		c.Out.WriteByte('.')
+		return pc + 1, nil
+	})
+	if out != ".." || err == nil || err.Error() != "toy: PC 2 outside code [0,2)" {
+		t.Errorf("escape: Run = %q, %v", out, err)
+	}
+
+	c = NewCPU()
+	c.Mem.AddBound(0, 4)
+	steps := 0
+	_, err = c.Run("toy", 1, func(pc int) (int, error) {
+		steps++
+		c.Mem.Load(8, 1)
+		return pc, nil
+	})
+	if steps != 1 || err == nil || err.Error() != "machine: memory access fault at 0x8" {
+		t.Errorf("fault: Run = %v after %d steps; want the fault after one", err, steps)
+	}
+
+	c = NewCPU()
+	out, err = c.Run("toy", 1, func(pc int) (int, error) {
+		c.Out.WriteString("ok")
+		c.Halted = true
+		return pc, nil
+	})
+	if out != "ok" || err != nil {
+		t.Errorf("halt: Run = %q, %v", out, err)
+	}
+}

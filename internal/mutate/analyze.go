@@ -82,18 +82,23 @@ func (e *Engine) Analyze(s *discovery.Sample) (*Analysis, error) {
 // the output.
 func (e *Engine) inertReg(s *discovery.Sample, region []discovery.Instr) (string, bool) {
 	for _, r := range e.freshRegisters(region, 8) {
-		ok := true
-		for _, k := range e.clobberValues(2) {
-			if !e.SameOutput(s, Insert(region, 0, e.ClobberInstr(r, k))) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if e.clobberSafe(s, region, r) {
 			return r, true
 		}
 	}
 	return "", false
+}
+
+// clobberSafe reports whether clobbering r at region start preserves the
+// output under two random values. Both values are drawn before the first
+// probe, so the random stream does not depend on which one breaks.
+func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r string) bool {
+	for _, k := range e.clobberValues(2) {
+		if !e.SameOutput(s, Insert(region, 0, e.ClobberInstr(r, k))) {
+			return false
+		}
+	}
+	return true
 }
 
 // normalizeDelaySlots detects delay-slot discipline behaviorally: inserting
@@ -194,14 +199,7 @@ func shiftSet(set map[int]bool, removed int) map[int]bool {
 func (e *Engine) safeClobberRegs(s *discovery.Sample, region []discovery.Instr) []string {
 	var out []string
 	for _, r := range discovery.Registers(region) {
-		ok := true
-		for _, k := range e.clobberValues(2) {
-			if !e.SameOutput(s, Insert(region, 0, e.ClobberInstr(r, k))) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if e.clobberSafe(s, region, r) {
 			out = append(out, r)
 		}
 	}
@@ -507,7 +505,6 @@ pairs:
 			continue
 		}
 		base := discovery.CloneInstrs(a.Region)
-		renamed := false
 		// Sorted: which register first triggers a rename (and the probe
 		// sequence SameOutput issues) must not follow map order.
 		liveRegs := make([]string, 0, len(a.Live))
@@ -542,10 +539,8 @@ pairs:
 				if !ok {
 					continue pairs
 				}
-				renamed = true
 			}
 		}
-		_ = renamed
 		swapped := discovery.CloneInstrs(base)
 		swapped[i1[0]], swapped[i2[0]] = swapped[i2[0]], swapped[i1[0]]
 		if !e.SameOutput(s, swapped) {

@@ -6,14 +6,13 @@ import (
 )
 
 // Fork/Drain/Join are the telemetry half of the parallel probe engine:
-// a unit of probe work (one pooled task, one logical probe) runs against
-// a forked tracer — a fresh virtual clock plus a recording sink — and its
-// finished bundle is joined back into the parent in a deterministic
-// order. Because every unit's internal timeline is a pure function of its
-// own call sequence, and the parent replays bundles in task order, the
-// parent's event stream is byte-identical at any worker count. The same
-// bundle, memoized by the probe cache, replays on a cache hit, so a warm
-// run's stream matches the cold run byte for byte.
+// a unit of probe work (a pooled task, or a logical probe the probe cache
+// may memoize) runs against a forked tracer — a fresh virtual clock plus
+// a recording sink — and its bundle joins the parent in a deterministic
+// order, at exactly the position the same work run inline would have
+// reached. So the parent's stream is byte-identical at any worker count,
+// and a probe run inline, run on a fork, or replayed by the cache leaves
+// the same events.
 
 // Recorder is the sink behind a forked tracer: it buffers events until
 // Drain packages them into a Replay.
@@ -69,13 +68,9 @@ func (t *Tracer) Drain() *Replay {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var elapsed time.Duration
-	if c, ok := t.clock.(*VirtualClock); ok {
-		elapsed = c.Elapsed()
-	}
 	r := &Replay{
 		Events:   t.rec.events,
-		Elapsed:  elapsed,
+		Elapsed:  t.clock.(*VirtualClock).Elapsed(), // Fork's clock
 		Counters: t.countersLocked(),
 		Hists:    t.histsLocked(),
 	}
@@ -83,18 +78,24 @@ func (t *Tracer) Drain() *Replay {
 	return r
 }
 
-// Join folds a drained bundle into t: events are re-stamped onto t's
-// timeline (base + fork-relative time) and re-attributed to t's innermost
-// open phase, counters and histograms merge, and the clock absorbs the
-// fork's elapsed virtual time. Callers join bundles in task order —
-// that ordering is what makes the stream worker-count-invariant. A nil
-// Replay (skipped task, nothing drained) is a no-op.
+// Join folds a drained bundle into t at its clock's current position,
+// without a tick of its own: events are re-stamped (position +
+// fork-relative time) and re-attributed to t's innermost open phase,
+// counters and histograms merge, and the clock absorbs the fork's
+// elapsed time — t ends where the same work run inline would have left
+// it. Callers join bundles in task order — that ordering is what makes
+// the stream worker-count-invariant. A nil Replay is a no-op.
 func (t *Tracer) Join(r *Replay) {
 	if t == nil || r == nil {
 		return
 	}
 	t.mu.Lock()
-	base := t.clock.Now()
+	var base time.Duration
+	if v, ok := t.clock.(*VirtualClock); ok {
+		base = v.Elapsed()
+	} else {
+		base = t.clock.Now() // reading a wall clock does not tick it
+	}
 	ph := t.current()
 	for _, e := range r.Events {
 		e.T += base

@@ -20,14 +20,14 @@
 // tracer's counters, so the probe layer and core.Report() can never
 // drift apart on attempts/retries/quorum tallies.
 //
-// The same seam carries the parallel probe engine and the probe cache:
-// every logical probe (one fully resolved retry+quorum interaction) runs
-// on a forked prober — forked tracer, snapshotted noisy latch — and its
-// telemetry bundle joins back in order, whether the probe executed or
-// replayed from the content-addressed Cache. Because the serial path and
-// the pooled path (internal/pool) go through the identical fork/join
-// machinery, traces are byte-identical at any worker count and in any
-// cache state.
+// The same seam carries the parallel probe engine and the probe cache.
+// A logical probe (one fully resolved retry+quorum interaction) runs on
+// its own prober, unless the content-addressed Cache may memoize it: then
+// it runs on a fork — forked tracer, snapshotted noisy latch — whose
+// telemetry bundle is stored for later hits to replay. Pool tasks
+// (internal/pool) run on forks joined in task order. Join stamps a bundle
+// where the same work run inline would have landed, so traces are
+// byte-identical at any worker count and in any cache state.
 package probe
 
 import (
@@ -201,13 +201,15 @@ func (p *Prober) Fork() *Prober {
 	}
 }
 
-// Join drains a forked prober's telemetry bundle into p and merges its
-// noisy latch: a machine caught lying inside a fork stays caught.
-func (p *Prober) Join(sub *Prober) {
-	p.tr.Join(sub.tr.Drain())
+// Join drains a forked prober's telemetry bundle into p and returns it,
+// merging the noisy latch: a machine caught lying in a fork stays caught.
+func (p *Prober) Join(sub *Prober) *obs.Replay {
+	r := sub.tr.Drain()
+	p.tr.Join(r)
 	if sub.Noisy() {
 		p.latch()
 	}
+	return r
 }
 
 func (p *Prober) latch() {
@@ -320,33 +322,28 @@ func transientCount(err error) int {
 	return 0
 }
 
-// logical resolves one logical probe — a full retry+quorum interaction —
-// on a forked prober, joining the fork's telemetry bundle back in order.
-// With a cache attached and a content key known (memo), a quiet settled
-// outcome is memoized under id (whose policy field is filled in here),
-// and a later identical probe replays it: same value, same error, same
-// telemetry bundle, no toolchain work. Both paths join one bundle at one
-// point, which is why traces are byte-identical across cache states.
+// logical resolves one logical probe — a full retry+quorum interaction.
+// Without a cache or a content key (memo), fn runs directly on p. With
+// both, a quiet settled outcome is memoized under id (whose policy field
+// is filled in here), and a later identical probe replays it: same value,
+// same error, same telemetry bundle, no toolchain work. Only a miss forks,
+// since only its bundle may be stored; Join stamps a stored or replayed
+// bundle where an inline probe would have reached.
 func (p *Prober) logical(id entryKey, memo bool, fn func(sub *Prober) (any, error)) (any, error) {
-	memo = memo && p.cache != nil
-	if memo {
-		id.policy = p.policy
-		if e, ok := p.cache.lookup(id); ok {
-			p.tr.Count(CtrCacheHits, 1)
-			p.tr.Join(e.replay)
-			return e.val, e.err
-		}
-		p.tr.Count(CtrCacheMisses, 1)
+	if !memo || p.cache == nil {
+		return fn(p)
 	}
+	id.policy = p.policy
+	if e, ok := p.cache.lookup(id); ok {
+		p.tr.Count(CtrCacheHits, 1)
+		p.tr.Join(e.replay)
+		return e.val, e.err
+	}
+	p.tr.Count(CtrCacheMisses, 1)
 	sub := p.Fork()
 	val, err := fn(sub)
-	r := sub.tr.Drain()
-	p.tr.Join(r)
-	noisy := sub.Noisy()
-	if noisy {
-		p.latch()
-	}
-	if memo && !noisy && sub.tr.Counter(CtrRetries) == 0 && cacheableErr(err) {
+	r := p.Join(sub)
+	if !sub.Noisy() && sub.tr.Counter(CtrRetries) == 0 && cacheableErr(err) {
 		p.cache.store(id, &cacheEntry{val: val, err: err, replay: r})
 	}
 	return val, err

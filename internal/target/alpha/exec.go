@@ -22,23 +22,9 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 	}
 	c.Regs["$sp"] = machine.StackTop
 	c.PC = img.Entry
-	for !c.Halted {
-		if err := c.Tick(); err != nil {
-			return c.Out.String(), err
-		}
-		if c.PC < 0 || c.PC >= len(img.Instrs) {
-			return c.Out.String(), fmt.Errorf("alpha: PC %d outside code [0,%d)", c.PC, len(img.Instrs))
-		}
-		next, err := step(c, img, img.Instrs[c.PC])
-		if err != nil {
-			return c.Out.String(), err
-		}
-		if err := c.Mem.Fault(); err != nil {
-			return c.Out.String(), err
-		}
-		c.PC = next
-	}
-	return c.Out.String(), nil
+	return c.Run("alpha", len(img.Instrs), func(pc int) (int, error) {
+		return step(c, img, img.Instrs[pc])
+	})
 }
 
 func wrap32(v int64) int64 { return int64(int32(v)) }

@@ -22,21 +22,11 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 	}
 	c.Regs["%esp"] = machine.StackTop
 	c.PC = img.Entry
-	for !c.Halted {
-		if err := c.Tick(); err != nil {
-			return c.Out.String(), err
-		}
-		if c.PC < 0 || c.PC >= len(img.Instrs) {
-			return c.Out.String(), fmt.Errorf("x86: PC %d outside code [0,%d)", c.PC, len(img.Instrs))
-		}
-		if err := step(c, img, img.Instrs[c.PC]); err != nil {
-			return c.Out.String(), err
-		}
-		if err := c.Mem.Fault(); err != nil {
-			return c.Out.String(), err
-		}
-	}
-	return c.Out.String(), nil
+	// step sets the PC itself; Run's assignment of it is then a no-op.
+	return c.Run("x86", len(img.Instrs), func(pc int) (int, error) {
+		err := step(c, img, img.Instrs[pc])
+		return c.PC, err
+	})
 }
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
