@@ -65,7 +65,10 @@ func (s Syntax) SplitLine(num int, raw string) (Line, error) {
 	ln.Op = op
 	ln.IsDir = strings.HasPrefix(op, ".")
 	if rest != "" {
-		for _, a := range strings.Split(rest, ",") {
+		ln.Args = make([]string, 0, strings.Count(rest, ",")+1)
+		for more := true; more; {
+			var a string
+			a, rest, more = strings.Cut(rest, ",")
 			ln.Args = append(ln.Args, strings.TrimSpace(a))
 		}
 	}
@@ -161,6 +164,10 @@ type Unit struct {
 	Comm    []string          // zero-initialized data symbols (.comm), word-sized
 	Strings map[string]string // label -> bytes (.asciz)
 	Aliases map[string]string // extra labels sharing an instruction ("" target = end)
+
+	// syms is the symbol table Link reads on every link. ParseUnit fills
+	// it; Link derives it afresh for a unit built by hand.
+	syms *unitSyms
 }
 
 // AsmError is an assembly diagnostic (the paper only needs accept/reject,

@@ -39,7 +39,10 @@ func DefaultValidLabel(s string) bool {
 // instruction between two labels produce this); extras are recorded as
 // aliases.
 func (d Dialect) ParseUnit(text string) (*Unit, error) {
-	u := &Unit{Arch: d.Arch, Strings: map[string]string{}, Aliases: map[string]string{}}
+	// At most one instruction per line.
+	lines := strings.Count(text, "\n") + 1
+	u := &Unit{Arch: d.Arch, Instrs: make([]Instr, 0, lines),
+		Strings: map[string]string{}, Aliases: map[string]string{}}
 	valid := d.ValidLabel
 	if valid == nil {
 		valid = DefaultValidLabel
@@ -55,8 +58,10 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 		}
 		return ins
 	}
-	for num, raw := range strings.Split(text, "\n") {
-		line, err := d.Syntax.SplitLine(num+1, raw)
+	for num := 1; num <= lines; num++ {
+		raw, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		line, err := d.Syntax.SplitLine(num, raw)
 		if err != nil {
 			return nil, err
 		}
@@ -91,6 +96,7 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 		// aliases of a synthetic terminator so links still resolve.
 		u.Aliases[l] = endLabel
 	}
+	u.syms = newUnitSyms(u)
 	return u, nil
 }
 

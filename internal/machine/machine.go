@@ -9,18 +9,25 @@ import (
 	"strings"
 )
 
-// Memory is a sparse byte-addressed memory with optional access bounds.
-// Out-of-bounds accesses latch a fault that the executor surfaces after the
-// offending step — like a real machine's segmentation violation, this is
-// what makes clobbered frame pointers *observable* to mutation analysis.
+// Memory is a sparse byte-addressed memory with optional access bounds,
+// backed by fixed-size pages allocated on first store. Out-of-bounds
+// accesses latch a fault that the executor surfaces after the offending
+// step — like a real machine's segmentation violation, this is what makes
+// clobbered frame pointers *observable* to mutation analysis.
 type Memory struct {
-	bytes  map[uint64]byte
-	bounds [][2]uint64 // inclusive start, exclusive end; empty = unbounded
+	pages  map[uint64]*page // page number -> contents
+	last   *page            // the page most recently accessed, if any
+	lastN  uint64           // its page number
+	bounds [][2]uint64      // inclusive start, exclusive end; empty = unbounded
 	fault  error
 }
 
+const pageBits = 8
+
+type page [1 << pageBits]byte
+
 // NewMemory returns an empty memory.
-func NewMemory() *Memory { return &Memory{bytes: map[uint64]byte{}} }
+func NewMemory() *Memory { return &Memory{pages: map[uint64]*page{}} }
 
 // AddBound allows accesses in [start, end).
 func (m *Memory) AddBound(start, end uint64) {
@@ -30,33 +37,80 @@ func (m *Memory) AddBound(start, end uint64) {
 // Fault returns the first out-of-bounds access error, if any.
 func (m *Memory) Fault() error { return m.fault }
 
+// check latches a fault unless [addr, addr+size) lies inside one bound.
+// An access whose end wraps past the top of the address space lies
+// inside none.
 func (m *Memory) check(addr uint64, size int) {
 	if m.fault != nil || len(m.bounds) == 0 {
 		return
 	}
-	for _, b := range m.bounds {
-		if addr >= b[0] && addr+uint64(size) <= b[1] {
-			return
+	if end := addr + uint64(size); end >= addr {
+		for _, b := range m.bounds {
+			if addr >= b[0] && end <= b[1] {
+				return
+			}
 		}
 	}
 	m.fault = fmt.Errorf("machine: memory access fault at %#x", addr)
+}
+
+// page returns the page holding addr and addr's offset in it. A page
+// never stored to is nil unless alloc, which allocates it.
+func (m *Memory) page(addr uint64, alloc bool) (*page, uint64) {
+	n, off := addr>>pageBits, addr&(1<<pageBits-1)
+	if m.last != nil && m.lastN == n {
+		return m.last, off
+	}
+	p := m.pages[n]
+	if p == nil {
+		if !alloc {
+			return nil, off
+		}
+		p = new(page)
+		m.pages[n] = p
+	}
+	m.last, m.lastN = p, n
+	return p, off
 }
 
 // Load reads a little-endian value of size bytes at addr.
 func (m *Memory) Load(addr uint64, size int) uint64 {
 	m.check(addr, size)
 	var v uint64
+	if p, off := m.page(addr, false); off+uint64(size) <= 1<<pageBits {
+		if p != nil {
+			for i := size - 1; i >= 0; i-- {
+				v = v<<8 | uint64(p[off+uint64(i)])
+			}
+		}
+		return v
+	}
 	for i := 0; i < size; i++ {
-		v |= uint64(m.bytes[addr+uint64(i)]) << (8 * i)
+		v |= uint64(m.byteAt(addr+uint64(i))) << (8 * i)
 	}
 	return v
+}
+
+// byteAt reads the byte at addr without a bounds check.
+func (m *Memory) byteAt(addr uint64) byte {
+	if p, off := m.page(addr, false); p != nil {
+		return p[off]
+	}
+	return 0
 }
 
 // Store writes a little-endian value of size bytes at addr.
 func (m *Memory) Store(addr uint64, size int, v uint64) {
 	m.check(addr, size)
+	if p, off := m.page(addr, true); off+uint64(size) <= 1<<pageBits {
+		for i := 0; i < size; i++ {
+			p[off+uint64(i)] = byte(v >> (8 * i))
+		}
+		return
+	}
 	for i := 0; i < size; i++ {
-		m.bytes[addr+uint64(i)] = byte(v >> (8 * i))
+		p, off := m.page(addr+uint64(i), true)
+		p[off] = byte(v >> (8 * i))
 	}
 }
 
@@ -65,7 +119,7 @@ func (m *Memory) Store(addr uint64, size int, v uint64) {
 func (m *Memory) LoadCString(addr uint64) (string, error) {
 	var sb strings.Builder
 	for i := 0; i < 1<<16; i++ {
-		b := m.bytes[addr+uint64(i)]
+		b := m.byteAt(addr + uint64(i))
 		if b == 0 {
 			return sb.String(), nil
 		}
@@ -122,10 +176,11 @@ type CPU struct {
 	MaxSteps int64
 }
 
-// NewCPU returns a CPU with an empty register file and default step budget.
-func NewCPU() *CPU {
+// NewCPU returns a CPU with an empty register file, sized for regs
+// registers, and the default step budget.
+func NewCPU(regs int) *CPU {
 	return &CPU{
-		Regs:     map[string]int64{},
+		Regs:     make(map[string]int64, regs),
 		Mem:      NewMemory(),
 		Hidden:   map[string]int64{},
 		MaxSteps: 2_000_000,

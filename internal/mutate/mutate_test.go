@@ -17,7 +17,7 @@ import (
 )
 
 // setup bootstraps a target and returns an engine plus the sample map.
-func setup(t *testing.T, tc target.Toolchain) (*Engine, map[string]*discovery.Sample) {
+func setup(t testing.TB, tc target.Toolchain) (*Engine, map[string]*discovery.Sample) {
 	t.Helper()
 	rig := discovery.NewRig(tc)
 	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(3))})
@@ -407,5 +407,19 @@ func TestVariantsPreventDeadCodeElimination(t *testing.T) {
 	}
 	if !hasBranch {
 		t.Errorf("branch eliminated despite variants:\n%s", describe(aFull.Region))
+	}
+}
+
+// BenchmarkSameOutputVal checks alpha's unmutated addition region under
+// its base valuation: one assembly, link and settling run per op.
+func BenchmarkSameOutputVal(b *testing.B) {
+	e, samples := setup(b, alpha.New())
+	s := samples["int.add.b_c"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.SameOutputVal(s, s.Region, 0) {
+			b.Fatal("the unmutated region must reproduce its output")
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package alpha_test
 
 import (
+	"math/rand"
 	"testing"
 
+	"srcg/internal/asm"
+	"srcg/internal/gen"
 	"srcg/internal/target"
 	"srcg/internal/target/alpha"
 )
@@ -80,5 +83,44 @@ func TestAssemblerRejectsGarbage(t *testing.T) {
 	}
 	if _, err := tc.Assemble("\tldil $1, 29173"); err != nil {
 		t.Errorf("ldil with wide literal rejected: %v", err)
+	}
+}
+
+// BenchmarkExecute runs the linked quick-set samples (seed 1): one op
+// executes all of them once.
+func BenchmarkExecute(b *testing.B) {
+	tc := alpha.New()
+	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(1))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var imgs []*asm.Image
+	for _, s := range samples {
+		var units []*asm.Unit
+		for _, src := range []string{s.CSource, s.InitSource} {
+			text, err := tc.CompileC(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			u, err := tc.Assemble(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			units = append(units, u)
+		}
+		img, err := tc.Link(units)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs = append(imgs, img)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, img := range imgs {
+			if _, err := tc.Execute(img); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

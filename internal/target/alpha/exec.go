@@ -11,17 +11,7 @@ import (
 // deposits the return address in its first operand and ret jumps through
 // it. All longword arithmetic wraps to 32 bits.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["$sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := img.Boot(registers, "$sp")
 	return c.Run("alpha", len(img.Instrs), func(pc int) (int, error) {
 		return step(c, img, img.Instrs[pc])
 	})

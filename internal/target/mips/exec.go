@@ -11,17 +11,7 @@ import (
 // deposit their results in the hidden hi/lo registers, which only
 // mflo/mfhi can observe.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["$sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := img.Boot(registers, "$sp")
 	return c.Run("mips", len(img.Instrs), func(pc int) (int, error) {
 		return step(c, img, img.Instrs[pc])
 	})

@@ -11,17 +11,7 @@ import (
 // the condition codes for a later conditional jump; calls saves the old
 // argument pointer on the stack and points ap at the incoming arguments.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["sp"] = machine.StackTop
-	c.PC = img.Entry
+	c := img.Boot(registers, "sp")
 	return c.Run("vax", len(img.Instrs), func(pc int) (int, error) {
 		return step(c, img, img.Instrs[pc])
 	})

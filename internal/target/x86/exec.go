@@ -11,17 +11,7 @@ import (
 // instruction stream with AT&T operand order, 32-bit wrapping arithmetic,
 // and return addresses kept on the machine stack.
 func (t *Toolchain) Execute(img *asm.Image) (string, error) {
-	c := machine.NewCPU()
-	c.Mem.AddBound(machine.DataBase, img.DataEnd)
-	c.Mem.AddBound(machine.StackTop-machine.StackSize, machine.StackTop)
-	for a, b := range img.Data {
-		c.Mem.Store(a, 1, uint64(b))
-	}
-	for r := range registers {
-		c.Regs[r] = 0
-	}
-	c.Regs["%esp"] = machine.StackTop
-	c.PC = img.Entry
+	c := img.Boot(registers, "%esp")
 	// step sets the PC itself; Run's assignment of it is then a no-op.
 	return c.Run("x86", len(img.Instrs), func(pc int) (int, error) {
 		err := step(c, img, img.Instrs[pc])
