@@ -2,12 +2,14 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
 // ParseInt parses an assembler integer literal: optional sign, then
 // decimal, 0x hexadecimal, or 0 octal. It returns ok=false for anything
-// else (the caller decides whether that makes the operand symbolic).
+// else (the caller decides whether that makes the operand symbolic),
+// including a value that does not fit in an int64.
 func ParseInt(text string) (int64, bool) {
 	s := text
 	neg := false
@@ -21,39 +23,52 @@ func ParseInt(text string) (int64, bool) {
 	if s == "" {
 		return 0, false
 	}
-	var v int64
+	var v uint64
+	var ok bool
 	switch {
 	case strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"):
-		s = s[2:]
-		if s == "" {
+		v, ok = digits(s[2:], 16)
+	case len(s) > 1 && s[0] == '0':
+		v, ok = digits(s[1:], 8)
+	default:
+		v, ok = digits(s, 10)
+	}
+	if !ok {
+		return 0, false
+	}
+	return signed(v, neg)
+}
+
+// digits parses a nonempty run of base-base digits as an unsigned
+// magnitude, failing on any other byte and on uint64 overflow.
+func digits(s string, base uint64) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		d, ok := hexDigit(s[i])
+		if !ok || uint64(d) >= base || v > (math.MaxUint64-uint64(d))/base {
 			return 0, false
 		}
-		for i := 0; i < len(s); i++ {
-			d, ok := hexDigit(s[i])
-			if !ok {
-				return 0, false
-			}
-			v = v*16 + int64(d)
-		}
-	case len(s) > 1 && s[0] == '0':
-		for i := 1; i < len(s); i++ {
-			if s[i] < '0' || s[i] > '7' {
-				return 0, false
-			}
-			v = v*8 + int64(s[i]-'0')
-		}
-	default:
-		for i := 0; i < len(s); i++ {
-			if s[i] < '0' || s[i] > '9' {
-				return 0, false
-			}
-			v = v*10 + int64(s[i]-'0')
-		}
-	}
-	if neg {
-		v = -v
+		v = v*base + uint64(d)
 	}
 	return v, true
+}
+
+// signed applies a sign to a parsed magnitude, failing when the result
+// does not fit in an int64: 1<<63 fits only when negated.
+func signed(mag uint64, neg bool) (int64, bool) {
+	if neg {
+		if mag > 1<<63 {
+			return 0, false
+		}
+		return -int64(mag), true
+	}
+	if mag > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(mag), true
 }
 
 func hexDigit(c byte) (int, bool) {

@@ -8,6 +8,7 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -434,46 +435,42 @@ func ParseLit(m *discovery.Model, text string) (int64, bool) {
 	}
 	// Try hex first if discovered.
 	if p, ok := m.LitBases[16]; ok && p != "" && strings.HasPrefix(s, p) {
-		v, ok := parseBase(s[len(p):], 16)
-		if !ok {
-			return 0, false
-		}
-		if neg {
-			v = -v
-		}
-		return v, true
+		return parseBase(s[len(p):], 16, neg)
 	}
-	v, ok := parseBase(s, 10)
-	if !ok {
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	return parseBase(s, 10, neg)
 }
 
-func parseBase(s string, base int64) (int64, bool) {
+// parseBase parses the digits s in base, negated when neg. It fails on
+// any other byte and on a value that does not fit in an int64, whose
+// magnitude may reach 1<<63 only when negated.
+func parseBase(s string, base uint64, neg bool) (int64, bool) {
 	if s == "" {
 		return 0, false
 	}
-	var v int64
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var v uint64
 	for i := 0; i < len(s); i++ {
-		var d int64
+		var d uint64
 		switch {
 		case s[i] >= '0' && s[i] <= '9':
-			d = int64(s[i] - '0')
+			d = uint64(s[i] - '0')
 		case s[i] >= 'a' && s[i] <= 'f':
-			d = int64(s[i]-'a') + 10
+			d = uint64(s[i]-'a') + 10
 		case s[i] >= 'A' && s[i] <= 'F':
-			d = int64(s[i]-'A') + 10
+			d = uint64(s[i]-'A') + 10
 		default:
 			return 0, false
 		}
-		if d >= base {
+		if d >= base || v > (limit-d)/base {
 			return 0, false
 		}
 		v = v*base + d
 	}
-	return v, true
+	if neg {
+		return -int64(v), true
+	}
+	return int64(v), true
 }

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"math"
 	"testing"
 
 	"srcg/internal/discovery"
@@ -26,6 +27,29 @@ func TestParseLit(t *testing.T) {
 	for _, s := range []string{"%eax", "L1", "", "$", "1x"} {
 		if _, ok := ParseLit(m, s); ok {
 			t.Errorf("ParseLit(%q) should fail", s)
+		}
+	}
+}
+
+// TestParseLitInt64Edges checks that literals at the int64 edges parse
+// and that literals past them are rejected rather than wrapped.
+func TestParseLitInt64Edges(t *testing.T) {
+	m := modelWith("$")
+	cases := map[string]int64{
+		"$9223372036854775807": math.MaxInt64, "$-9223372036854775808": math.MinInt64,
+		"0x7fffffffffffffff": math.MaxInt64, "-0x8000000000000000": math.MinInt64,
+	}
+	for s, want := range cases {
+		if got, ok := ParseLit(m, s); !ok || got != want {
+			t.Errorf("ParseLit(%q) = %d,%v want %d", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{
+		"$9223372036854775808", "$-9223372036854775809",
+		"18446744073709551617", "0x8000000000000000", "0x10000000000000001",
+	} {
+		if got, ok := ParseLit(m, s); ok {
+			t.Errorf("ParseLit(%q) = %d, should fail", s, got)
 		}
 	}
 }

@@ -76,6 +76,7 @@ func TestAssemblerRejectsGarbage(t *testing.T) {
 		"\taddl $1, 287, $32",
 		"\taddl $1, 999, $2",
 		"\tbr 1235",
+		"\taddl $1, 18446744073709551617, $2", // wraps to 1 in int64
 	} {
 		if _, err := tc.Assemble(bad); err == nil {
 			t.Errorf("Assemble(%q) accepted", bad)
