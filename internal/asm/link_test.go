@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,8 +54,9 @@ func linkCorpus(tb testing.TB, tc target.Toolchain) [][]*asm.Unit {
 	return out
 }
 
-// linkDigest links every unit pair of the corpus and hashes the %v
-// rendering of each image in turn.
+// linkDigest links every unit pair of the corpus and hashes, for each
+// image in turn, its %v rendering and what executing it prints and
+// returns.
 func linkDigest(t *testing.T, tc target.Toolchain) string {
 	t.Helper()
 	corpus := linkCorpus(t, tc)
@@ -68,6 +70,26 @@ func linkDigest(t *testing.T, tc target.Toolchain) string {
 			t.Fatalf("%s: link %d: %v", tc.Name(), i, err)
 		}
 		fmt.Fprintf(h, "%v", *img)
+		out, err := tc.Execute(img)
+		fmt.Fprintf(h, "\nexecute %q %v\n", out, err)
+		// A copy of the image in which one symbolic operand names
+		// nothing reaches the executor's undefined-symbol errors: one
+		// copy per opcode, at its first symbolic operand.
+		seen := map[string]bool{}
+		for k, ins := range img.Instrs {
+			for j, a := range ins.Args {
+				if a.Sym == "" || seen[ins.Op] {
+					continue
+				}
+				seen[ins.Op] = true
+				bad := *img
+				bad.Instrs = slices.Clone(img.Instrs)
+				bad.Instrs[k].Args = slices.Clone(ins.Args)
+				bad.Instrs[k].Args[j].Sym = "nosuch"
+				out, err := tc.Execute(&bad)
+				fmt.Fprintf(h, "execute %d.%d %q %v\n", k, j, out, err)
+			}
+		}
 		if !reflect.DeepEqual(units, pristine[i]) {
 			t.Errorf("%s: link %d wrote through to its input units", tc.Name(), i)
 		}
@@ -76,12 +98,14 @@ func linkDigest(t *testing.T, tc target.Toolchain) string {
 }
 
 // TestLinkImagesGolden pins the images the simulated linkers produce for a
-// fixed corpus on all five targets, and checks that linking never writes
-// through to the units it reads. Regenerate the digest with
+// fixed corpus on all five targets, and the output and error of running
+// each, and checks that linking never writes through to the units it
+// reads. Regenerate the digest with
 //
 //	SRCG_UPDATE_GOLDEN=1 go test ./internal/asm -run TestLinkImagesGolden
 //
-// after an intentional change to the compilers, assemblers or linker.
+// after an intentional change to the compilers, assemblers, linker or
+// executors.
 func TestLinkImagesGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, tc := range toolchains() {
@@ -152,6 +176,40 @@ func BenchmarkLink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, units := range corpus {
 			if _, err := tc.Link(units); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkAssemble assembles the compiled quick-set corpus (seed 1) on
+// all five targets: one op is every [main, init] text of every target.
+func BenchmarkAssemble(b *testing.B) {
+	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(1))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type text struct {
+		tc  target.Toolchain
+		asm string
+	}
+	var texts []text
+	for _, tc := range toolchains() {
+		for _, s := range samples {
+			for _, src := range []string{s.CSource, s.InitSource} {
+				t, err := tc.CompileC(src)
+				if err != nil {
+					b.Fatalf("%s: %s: compile: %v", tc.Name(), s.Name, err)
+				}
+				texts = append(texts, text{tc, t})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range texts {
+			if _, err := t.tc.Assemble(t.asm); err != nil {
 				b.Fatal(err)
 			}
 		}
