@@ -2,17 +2,24 @@ package asm
 
 import "strings"
 
-// Dialect bundles what a simulated assembler needs beyond operand decoding:
-// the surface syntax and an instruction decoder. Directive handling
-// (.text/.globl/.comm/.asciz/...) is shared, since all five simulated
-// toolchains use the same Unix-style directives.
+// Dialect is a simulated assembler: the surface syntax, the register
+// file, and a per-opcode operand table that one shared decoder walks.
+// Directive handling (.text/.globl/.comm/.asciz/...) is shared too, since
+// all five simulated toolchains use the same Unix-style directives.
 type Dialect struct {
 	Arch   string
 	Syntax Syntax
-	// Decode validates and decodes one instruction line (Op != "", not a
-	// directive). It must reject unknown opcodes and illegal operands —
-	// the discovery unit probes syntax by feeding the assembler garbage.
-	Decode func(line Line) (Instr, error)
+	// Registers is the register file a register operand names.
+	Registers map[string]bool
+	// Ops maps each opcode the assembler accepts to its operand shape;
+	// every other opcode is rejected, as are operands its decoders or
+	// checks refuse — the discovery unit probes syntax by feeding the
+	// assembler garbage.
+	Ops map[string]Shape
+	// Reserved reports whether a label-shaped token belongs to register
+	// syntax, so that it is neither a bare symbol nor a branch target.
+	// Nil reserves nothing.
+	Reserved func(string) bool
 	// ValidLabel reports whether a token may be a label. Defaults to
 	// DefaultValidLabel when nil.
 	ValidLabel func(string) bool
@@ -38,7 +45,7 @@ func DefaultValidLabel(s string) bool {
 // labels may land on the same instruction (mutations that delete an
 // instruction between two labels produce this); extras are recorded as
 // aliases.
-func (d Dialect) ParseUnit(text string) (*Unit, error) {
+func (d *Dialect) ParseUnit(text string) (*Unit, error) {
 	// At most one instruction per line.
 	lines := strings.Count(text, "\n") + 1
 	u := &Unit{Arch: d.Arch, Instrs: make([]Instr, 0, lines),
@@ -85,7 +92,7 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 		if line.Label != "" {
 			pending = append(pending, line.Label)
 		}
-		ins, err := d.Decode(line)
+		ins, err := d.decode(line)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +110,7 @@ func (d Dialect) ParseUnit(text string) (*Unit, error) {
 // endLabel marks "one past the last instruction" for trailing labels.
 const endLabel = "$end"
 
-func (d Dialect) directive(u *Unit, line Line) error {
+func (d *Dialect) directive(u *Unit, line Line) error {
 	switch line.Op {
 	case ".text", ".data", ".align", ".word", ".ent", ".end", ".frame", ".set":
 		return nil
@@ -125,4 +132,17 @@ func (d Dialect) directive(u *Unit, line Line) error {
 	default:
 		return Errf(d.Arch, line.Num, "unknown directive %s", line.Op)
 	}
+}
+
+// Link links units into an image for the dialect's architecture, with
+// word-sized data, and checks that every symbolic reference resolves.
+func (d *Dialect) Link(units []*Unit) (*Image, error) {
+	img, err := Link(d.Arch, 4, units)
+	if err != nil {
+		return nil, err
+	}
+	if err := img.CheckUndefined(); err != nil {
+		return nil, err
+	}
+	return img, nil
 }
