@@ -288,6 +288,36 @@ func (img *Image) CheckUndefined() error {
 	return nil
 }
 
+// Builtin reports whether a call to sym reaches a runtime builtin: sym
+// names one and no code label of the image shadows it.
+func (img *Image) Builtin(sym string) bool {
+	_, ok := img.Labels[sym]
+	return !ok && Builtins[sym]
+}
+
+// CodeLabel returns the instruction index of a code label.
+func (img *Image) CodeLabel(sym string) (int, error) {
+	idx, ok := img.Labels[sym]
+	if !ok {
+		return 0, fmt.Errorf("%s: undefined code label %q", img.Arch, sym)
+	}
+	return idx, nil
+}
+
+// Addr computes the address of memory operand a: base plus displacement
+// when a names a base register, whose value the caller reads and passes
+// as base, else the address of a's data symbol.
+func (img *Image) Addr(a Arg, base int64) (uint64, error) {
+	if a.Reg != "" {
+		return uint64(base + a.Imm), nil
+	}
+	addr, ok := img.Resolve(a.Sym)
+	if !ok {
+		return 0, fmt.Errorf("%s: undefined data symbol %q", img.Arch, a.Sym)
+	}
+	return addr, nil
+}
+
 // Resolve returns the data address for a symbol, consulting data symbols
 // first (labels are code addresses, meaningless as data).
 func (img *Image) Resolve(sym string) (uint64, bool) {

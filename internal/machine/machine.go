@@ -223,6 +223,44 @@ func (c *CPU) Run(arch string, n int, step func(pc int) (int, error)) (string, e
 	return c.Out.String(), nil
 }
 
+// Builtin services a call to one of the runtime routines every simulated
+// OS provides, printf and exit. arg(c, i) reads the call's i-th word
+// argument wherever the target's calling convention keeps it; arch names
+// the target in the error for any other routine.
+func (c *CPU) Builtin(arch, sym string, arg func(c *CPU, i int) int64) error {
+	switch sym {
+	case "printf":
+		format, err := c.Mem.LoadCString(uint64(arg(c, 0)))
+		if err != nil {
+			return err
+		}
+		var args []int64
+		for i := 0; i < directives(format); i++ {
+			args = append(args, arg(c, 1+i))
+		}
+		return c.Printf(format, args)
+	case "exit":
+		c.Exit = int(int32(arg(c, 0)))
+		c.Halted = true
+		return nil
+	}
+	return fmt.Errorf("%s: unsupported builtin %q", arch, sym)
+}
+
+// directives counts the argument-consuming conversions in a printf format.
+func directives(format string) int {
+	n := 0
+	for i := 0; i+1 < len(format); i++ {
+		if format[i] == '%' {
+			if format[i+1] == 'i' || format[i+1] == 'd' {
+				n++
+			}
+			i++
+		}
+	}
+	return n
+}
+
 // Printf implements the runtime printf used by samples: only the directives
 // the Generator emits (%i, %d, %%) are supported.
 func (c *CPU) Printf(format string, args []int64) error {

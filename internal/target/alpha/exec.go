@@ -2,6 +2,7 @@ package alpha
 
 import (
 	"fmt"
+	"strconv"
 
 	"srcg/internal/asm"
 	"srcg/internal/machine"
@@ -38,26 +39,6 @@ func operand(c *machine.CPU, a asm.Arg) int64 {
 		return a.Imm
 	}
 	return getReg(c, a.Reg)
-}
-
-// ea computes the address of a memory operand: base+disp or absolute sym.
-func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
-	if a.Reg != "" {
-		return uint64(getReg(c, a.Reg) + a.Imm), nil
-	}
-	addr, ok := img.Resolve(a.Sym)
-	if !ok {
-		return 0, fmt.Errorf("alpha: undefined data symbol %q", a.Sym)
-	}
-	return addr, nil
-}
-
-func codeLabel(img *asm.Image, sym string) (int, error) {
-	idx, ok := img.Labels[sym]
-	if !ok {
-		return 0, fmt.Errorf("alpha: undefined code label %q", sym)
-	}
-	return idx, nil
 }
 
 func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
@@ -116,19 +97,19 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		}
 		setReg(c, ins.Args[2].Reg, r)
 	case "ldl":
-		addr, err := ea(c, img, ins.Args[1])
+		addr, err := img.Addr(ins.Args[1], getReg(c, ins.Args[1].Reg))
 		if err != nil {
 			return 0, err
 		}
 		setReg(c, ins.Args[0].Reg, machine.SignExtend(c.Mem.Load(addr, 4), 32))
 	case "stl":
-		addr, err := ea(c, img, ins.Args[1])
+		addr, err := img.Addr(ins.Args[1], getReg(c, ins.Args[1].Reg))
 		if err != nil {
 			return 0, err
 		}
 		c.Mem.Store(addr, 4, machine.Truncate(getReg(c, ins.Args[0].Reg), 32))
 	case "lda":
-		addr, err := ea(c, img, ins.Args[1])
+		addr, err := img.Addr(ins.Args[1], getReg(c, ins.Args[1].Reg))
 		if err != nil {
 			return 0, err
 		}
@@ -138,20 +119,20 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	case "beq", "bne":
 		v := getReg(c, ins.Args[0].Reg)
 		if (ins.Op == "beq") == (v == 0) {
-			return codeLabel(img, ins.Args[1].Sym)
+			return img.CodeLabel(ins.Args[1].Sym)
 		}
 	case "br":
-		return codeLabel(img, ins.Args[0].Sym)
+		return img.CodeLabel(ins.Args[0].Sym)
 	case "jsr":
 		sym := ins.Args[1].Sym
 		setReg(c, ins.Args[0].Reg, int64(c.PC+1))
-		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
-			if err := builtin(c, sym); err != nil {
+		if img.Builtin(sym) {
+			if err := c.Builtin("alpha", sym, arg); err != nil {
 				return 0, err
 			}
 			return c.PC + 1, nil
 		}
-		return codeLabel(img, sym)
+		return img.CodeLabel(sym)
 	case "ret":
 		return int(getReg(c, ins.Args[0].Reg)), nil
 	default:
@@ -160,37 +141,5 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	return next, nil
 }
 
-// builtin services printf and exit with arguments in $16..$18.
-func builtin(c *machine.CPU, sym string) error {
-	switch sym {
-	case "printf":
-		format, err := c.Mem.LoadCString(uint64(c.Regs["$16"]))
-		if err != nil {
-			return err
-		}
-		var args []int64
-		for i := 0; i < directives(format); i++ {
-			args = append(args, getReg(c, fmt.Sprintf("$%d", 17+i)))
-		}
-		return c.Printf(format, args)
-	case "exit":
-		c.Exit = int(int32(c.Regs["$16"]))
-		c.Halted = true
-		return nil
-	}
-	return fmt.Errorf("alpha: unsupported builtin %q", sym)
-}
-
-// directives counts the argument-consuming conversions in a printf format.
-func directives(format string) int {
-	n := 0
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] == '%' {
-			if format[i+1] == 'i' || format[i+1] == 'd' {
-				n++
-			}
-			i++
-		}
-	}
-	return n
-}
+// arg reads the i-th word argument of a builtin call: $16 up.
+func arg(c *machine.CPU, i int) int64 { return getReg(c, "$"+strconv.Itoa(16+i)) }

@@ -2,6 +2,7 @@ package mips
 
 import (
 	"fmt"
+	"strconv"
 
 	"srcg/internal/asm"
 	"srcg/internal/machine"
@@ -40,26 +41,6 @@ func operand(c *machine.CPU, a asm.Arg) int64 {
 	return getReg(c, a.Reg)
 }
 
-// ea computes the address of a memory operand: base+disp or absolute sym.
-func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
-	if a.Reg != "" {
-		return uint64(getReg(c, a.Reg) + a.Imm), nil
-	}
-	addr, ok := img.Resolve(a.Sym)
-	if !ok {
-		return 0, fmt.Errorf("mips: undefined data symbol %q", a.Sym)
-	}
-	return addr, nil
-}
-
-func codeLabel(img *asm.Image, sym string) (int, error) {
-	idx, ok := img.Labels[sym]
-	if !ok {
-		return 0, fmt.Errorf("mips: undefined code label %q", sym)
-	}
-	return idx, nil
-}
-
 func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	next := c.PC + 1
 	switch ins.Op {
@@ -87,13 +68,13 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 		}
 		setReg(c, ins.Args[0].Reg, r)
 	case "lw":
-		addr, err := ea(c, img, ins.Args[1])
+		addr, err := img.Addr(ins.Args[1], getReg(c, ins.Args[1].Reg))
 		if err != nil {
 			return 0, err
 		}
 		setReg(c, ins.Args[0].Reg, machine.SignExtend(c.Mem.Load(addr, 4), 32))
 	case "sw":
-		addr, err := ea(c, img, ins.Args[1])
+		addr, err := img.Addr(ins.Args[1], getReg(c, ins.Args[1].Reg))
 		if err != nil {
 			return 0, err
 		}
@@ -140,20 +121,20 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 			taken = a >= b
 		}
 		if taken {
-			return codeLabel(img, ins.Args[2].Sym)
+			return img.CodeLabel(ins.Args[2].Sym)
 		}
 	case "j":
-		return codeLabel(img, ins.Args[0].Sym)
+		return img.CodeLabel(ins.Args[0].Sym)
 	case "jal":
 		sym := ins.Args[0].Sym
-		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
+		if img.Builtin(sym) {
 			c.Regs["$31"] = int64(c.PC + 1)
-			if err := builtin(c, sym); err != nil {
+			if err := c.Builtin("mips", sym, arg); err != nil {
 				return 0, err
 			}
 			return c.PC + 1, nil
 		}
-		idx, err := codeLabel(img, sym)
+		idx, err := img.CodeLabel(sym)
 		if err != nil {
 			return 0, err
 		}
@@ -167,37 +148,5 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	return next, nil
 }
 
-// builtin services printf and exit with arguments in $4..$7.
-func builtin(c *machine.CPU, sym string) error {
-	switch sym {
-	case "printf":
-		format, err := c.Mem.LoadCString(uint64(c.Regs["$4"]))
-		if err != nil {
-			return err
-		}
-		var args []int64
-		for i := 0; i < directives(format); i++ {
-			args = append(args, getReg(c, fmt.Sprintf("$%d", 5+i)))
-		}
-		return c.Printf(format, args)
-	case "exit":
-		c.Exit = int(int32(c.Regs["$4"]))
-		c.Halted = true
-		return nil
-	}
-	return fmt.Errorf("mips: unsupported builtin %q", sym)
-}
-
-// directives counts the argument-consuming conversions in a printf format.
-func directives(format string) int {
-	n := 0
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] == '%' {
-			if format[i+1] == 'i' || format[i+1] == 'd' {
-				n++
-			}
-			i++
-		}
-	}
-	return n
-}
+// arg reads the i-th word argument of a builtin call: $4 up.
+func arg(c *machine.CPU, i int) int64 { return getReg(c, "$"+strconv.Itoa(4+i)) }

@@ -2,6 +2,7 @@ package sparc
 
 import (
 	"fmt"
+	"strconv"
 
 	"srcg/internal/asm"
 	"srcg/internal/machine"
@@ -39,14 +40,6 @@ func operand(c *machine.CPU, a asm.Arg) int64 {
 		return a.Imm
 	}
 	return getReg(c, a.Reg)
-}
-
-func codeLabel(img *asm.Image, sym string) (int, error) {
-	idx, ok := img.Labels[sym]
-	if !ok {
-		return 0, fmt.Errorf("sparc: undefined code label %q", sym)
-	}
-	return idx, nil
 }
 
 // step executes the instruction at pc and returns the next pc.
@@ -117,10 +110,10 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 			taken = c.CCa >= c.CCb
 		}
 		if taken {
-			return codeLabel(img, ins.Args[0].Sym)
+			return img.CodeLabel(ins.Args[0].Sym)
 		}
 	case "b":
-		return codeLabel(img, ins.Args[0].Sym)
+		return img.CodeLabel(ins.Args[0].Sym)
 	case "nop":
 	case "retl":
 		next = int(c.Regs["%o7"])
@@ -137,13 +130,13 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 			ret = dnext // the delay instruction branched
 		}
 		sym := ins.Args[0].Sym
-		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
+		if img.Builtin(sym) {
 			if err := builtin(c, sym); err != nil {
 				return 0, err
 			}
 			return ret, nil
 		}
-		idx, err := codeLabel(img, sym)
+		idx, err := img.CodeLabel(sym)
 		if err != nil {
 			return 0, err
 		}
@@ -155,24 +148,11 @@ func step(c *machine.CPU, img *asm.Image, pc int) (int, error) {
 	return next, nil
 }
 
-// builtin services printf, exit, and the .mul/.div/.rem millicode: all take
-// arguments in %o0/%o1..., results in %o0.
+// builtin services the .mul/.div/.rem millicode, and printf and exit
+// through the machine: all take arguments in %o0, %o1..., results in
+// %o0.
 func builtin(c *machine.CPU, sym string) error {
 	switch sym {
-	case "printf":
-		format, err := c.Mem.LoadCString(uint64(c.Regs["%o0"]))
-		if err != nil {
-			return err
-		}
-		var args []int64
-		for i := 0; i < directives(format); i++ {
-			args = append(args, getReg(c, fmt.Sprintf("%%o%d", i+1)))
-		}
-		return c.Printf(format, args)
-	case "exit":
-		c.Exit = int(int32(c.Regs["%o0"]))
-		c.Halted = true
-		return nil
 	case ".mul", ".div", ".rem":
 		a, b := int32(c.Regs["%o0"]), int32(c.Regs["%o1"])
 		if sym != ".mul" && b == 0 {
@@ -190,19 +170,8 @@ func builtin(c *machine.CPU, sym string) error {
 		c.Regs["%o0"] = wrap32(r)
 		return nil
 	}
-	return fmt.Errorf("sparc: unsupported builtin %q", sym)
+	return c.Builtin("sparc", sym, arg)
 }
 
-// directives counts the argument-consuming conversions in a printf format.
-func directives(format string) int {
-	n := 0
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] == '%' {
-			if format[i+1] == 'i' || format[i+1] == 'd' {
-				n++
-			}
-			i++
-		}
-	}
-	return n
-}
+// arg reads the i-th word argument of a builtin call: %o0 up.
+func arg(c *machine.CPU, i int) int64 { return getReg(c, "%o"+strconv.Itoa(i)) }

@@ -19,18 +19,6 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
-// ea computes the address of a memory operand: base+disp or absolute sym.
-func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
-	if a.Reg != "" {
-		return uint64(c.Regs[a.Reg] + a.Imm), nil
-	}
-	addr, ok := img.Resolve(a.Sym)
-	if !ok {
-		return 0, fmt.Errorf("vax: undefined data symbol %q", a.Sym)
-	}
-	return addr, nil
-}
-
 // value reads any data operand: immediate, symbol address, register, or
 // memory.
 func value(c *machine.CPU, img *asm.Image, a asm.Arg) (int64, error) {
@@ -69,14 +57,6 @@ func write(c *machine.CPU, img *asm.Image, a asm.Arg, v int64) error {
 		return nil
 	}
 	return fmt.Errorf("vax: operand not writable")
-}
-
-func codeLabel(img *asm.Image, sym string) (int, error) {
-	idx, ok := img.Labels[sym]
-	if !ok {
-		return 0, fmt.Errorf("vax: undefined code label %q", sym)
-	}
-	return idx, nil
 }
 
 // ashl shifts left by a signed count; a negative count shifts
@@ -207,16 +187,16 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 			taken = c.CCa >= c.CCb
 		}
 		if taken {
-			return codeLabel(img, ins.Args[0].Sym)
+			return img.CodeLabel(ins.Args[0].Sym)
 		}
 	case "jbr":
-		return codeLabel(img, ins.Args[0].Sym)
+		return img.CodeLabel(ins.Args[0].Sym)
 	case "calls":
 		sym := ins.Args[1].Sym
-		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
-			return next, builtin(c, sym)
+		if img.Builtin(sym) {
+			return next, c.Builtin("vax", sym, arg)
 		}
-		idx, err := codeLabel(img, sym)
+		idx, err := img.CodeLabel(sym)
 		if err != nil {
 			return 0, err
 		}
@@ -240,40 +220,10 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) (int, error) {
 	return next, nil
 }
 
-// builtin services printf and exit with arguments on the stack at sp.
-func builtin(c *machine.CPU, sym string) error {
-	arg := func(i int) int64 {
-		return machine.SignExtend(c.Mem.Load(uint64(c.Regs["sp"])+uint64(4*i), 4), 32)
-	}
-	switch sym {
-	case "printf":
-		format, err := c.Mem.LoadCString(uint64(arg(0)))
-		if err != nil {
-			return err
-		}
-		var args []int64
-		for i := 0; i < directives(format); i++ {
-			args = append(args, arg(1+i))
-		}
-		return c.Printf(format, args)
-	case "exit":
-		c.Exit = int(int32(arg(0)))
-		c.Halted = true
-		return nil
-	}
-	return fmt.Errorf("vax: unsupported builtin %q", sym)
+// arg reads the i-th word argument of a builtin call: the stack at sp.
+func arg(c *machine.CPU, i int) int64 {
+	return machine.SignExtend(c.Mem.Load(uint64(c.Regs["sp"])+uint64(4*i), 4), 32)
 }
 
-// directives counts the argument-consuming conversions in a printf format.
-func directives(format string) int {
-	n := 0
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] == '%' {
-			if format[i+1] == 'i' || format[i+1] == 'd' {
-				n++
-			}
-			i++
-		}
-	}
-	return n
-}
+// ea computes the address of a memory operand.
+func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) { return img.Addr(a, c.Regs[a.Reg]) }

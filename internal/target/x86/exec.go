@@ -21,18 +21,6 @@ func (t *Toolchain) Execute(img *asm.Image) (string, error) {
 
 func wrap32(v int64) int64 { return int64(int32(v)) }
 
-// ea computes the effective address of a memory operand.
-func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) {
-	if a.Reg != "" {
-		return uint64(c.Regs[a.Reg] + a.Imm), nil
-	}
-	addr, ok := img.Resolve(a.Sym)
-	if !ok {
-		return 0, fmt.Errorf("x86: undefined data symbol %q", a.Sym)
-	}
-	return addr, nil
-}
-
 // value reads an operand: immediate, symbol address, register, or memory.
 func value(c *machine.CPU, img *asm.Image, a asm.Arg) (int64, error) {
 	switch a.Kind {
@@ -82,14 +70,6 @@ func pop(c *machine.CPU) int64 {
 	v := machine.SignExtend(c.Mem.Load(uint64(c.Regs["%esp"]), 4), 32)
 	c.Regs["%esp"] += 4
 	return v
-}
-
-func codeLabel(img *asm.Image, sym string) (int, error) {
-	idx, ok := img.Labels[sym]
-	if !ok {
-		return 0, fmt.Errorf("x86: undefined code label %q", sym)
-	}
-	return idx, nil
 }
 
 func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
@@ -202,14 +182,14 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 			taken = c.CCa >= c.CCb
 		}
 		if taken {
-			idx, err := codeLabel(img, ins.Args[0].Sym)
+			idx, err := img.CodeLabel(ins.Args[0].Sym)
 			if err != nil {
 				return err
 			}
 			next = idx
 		}
 	case "jmp":
-		idx, err := codeLabel(img, ins.Args[0].Sym)
+		idx, err := img.CodeLabel(ins.Args[0].Sym)
 		if err != nil {
 			return err
 		}
@@ -230,13 +210,13 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 		c.Regs[ins.Args[1].Reg] = wrap32(int64(addr))
 	case "call":
 		sym := ins.Args[0].Sym
-		if _, ok := img.Labels[sym]; !ok && asm.Builtins[sym] {
-			if err := builtin(c, img, sym); err != nil {
+		if img.Builtin(sym) {
+			if err := c.Builtin("x86", sym, arg); err != nil {
 				return err
 			}
 			break
 		}
-		idx, err := codeLabel(img, sym)
+		idx, err := img.CodeLabel(sym)
 		if err != nil {
 			return err
 		}
@@ -251,40 +231,11 @@ func step(c *machine.CPU, img *asm.Image, ins asm.Instr) error {
 	return nil
 }
 
-// builtin services printf and exit; arguments are on the stack, no return
-// address is pushed for builtin calls.
-func builtin(c *machine.CPU, img *asm.Image, sym string) error {
-	sp := uint64(c.Regs["%esp"])
-	switch sym {
-	case "printf":
-		fmtAddr := c.Mem.Load(sp, 4)
-		format, err := c.Mem.LoadCString(fmtAddr)
-		if err != nil {
-			return err
-		}
-		var args []int64
-		for i := 0; i < directives(format); i++ {
-			args = append(args, machine.SignExtend(c.Mem.Load(sp+4+uint64(4*i), 4), 32))
-		}
-		return c.Printf(format, args)
-	case "exit":
-		c.Exit = int(int32(c.Mem.Load(sp, 4)))
-		c.Halted = true
-		return nil
-	}
-	return fmt.Errorf("x86: unsupported builtin %q", sym)
+// arg reads the i-th word argument of a builtin call: the stack at
+// %esp, where builtin calls push no return address.
+func arg(c *machine.CPU, i int) int64 {
+	return machine.SignExtend(c.Mem.Load(uint64(c.Regs["%esp"])+uint64(4*i), 4), 32)
 }
 
-// directives counts the argument-consuming conversions in a printf format.
-func directives(format string) int {
-	n := 0
-	for i := 0; i+1 < len(format); i++ {
-		if format[i] == '%' {
-			if format[i+1] == 'i' || format[i+1] == 'd' {
-				n++
-			}
-			i++
-		}
-	}
-	return n
-}
+// ea computes the effective address of a memory operand.
+func ea(c *machine.CPU, img *asm.Image, a asm.Arg) (uint64, error) { return img.Addr(a, c.Regs[a.Reg]) }
