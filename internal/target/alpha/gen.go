@@ -2,105 +2,41 @@ package alpha
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
-	"srcg/internal/asm"
 	"srcg/internal/cc"
 	"srcg/internal/ir"
 )
 
-// compileC lowers mini-C to Alpha assembly. Named values live in frame
-// slots below $fp; expressions are evaluated in $1..$7 with a fresh
-// destination register per operation; $16..$18 carry arguments, $0 the
-// return value, and $26 the return address. Shift-left results are
-// canonicalized back to 32 bits with an `addl rd, 0, rd` after every sll.
-func compileC(src string) (string, error) {
-	u, err := cc.CompileUnit(src)
-	if err != nil {
-		return "", err
-	}
-	g := &gen{unit: u}
-	for _, f := range u.Funcs {
-		if err := g.genFunc(f); err != nil {
-			return "", err
-		}
-	}
-	for _, gl := range u.Globals {
-		g.raw("\t.comm " + gl.Name + ", 4")
-	}
-	for _, s := range u.Strings {
-		g.raw(s.Label + ":\t.asciz \"" + asm.EscapeString(s.Value) + "\"")
-	}
-	return g.buf.String(), nil
+// CompileC implements target.Toolchain: it lowers mini-C to Alpha
+// assembly. Named values live in frame slots below $fp; expressions are
+// evaluated in $1..$7 with a fresh destination register per operation;
+// $16..$18 carry arguments, $0 the return value, and $26 the return
+// address. Shift-left results are canonicalized back to 32 bits with an
+// `addl rd, 0, rd` after every sll.
+func (t *Toolchain) CompileC(src string) (string, error) {
+	g := &gen{cc.Backend{Arch: "alpha", Pool: pool, Frame: fpSlot, MaxParams: 3}}
+	return g.Compile(src, g.genFunc)
 }
 
 // pool is the expression-temporary allocation order.
 var pool = []string{"$1", "$2", "$3", "$4", "$5", "$6", "$7"}
 
-// maxScratch frame slots hold values that must survive a nested call.
-const maxScratch = 4
+type gen struct{ cc.Backend }
 
-type gen struct {
-	buf     strings.Builder
-	unit    *ir.Unit
-	fn      *ir.Func
-	busy    map[string]bool
-	nparams int
-	nslots  int
-	frame   int
-	scratch int
-}
-
-func (g *gen) raw(s string)                          { g.buf.WriteString(s + "\n") }
-func (g *gen) ins(f string, a ...interface{})        { g.raw("\t" + fmt.Sprintf(f, a...)) }
-func (g *gen) label(name string)                     { g.raw(name + ":") }
-func (g *gen) errf(f string, a ...interface{}) error { return fmt.Errorf("alpha-cc: "+f, a...) }
-
-func (g *gen) alloc() (string, bool) {
-	for _, r := range pool {
-		if !g.busy[r] {
-			g.busy[r] = true
-			return r, true
-		}
-	}
-	return "", false
-}
-
-func (g *gen) release(r string) { delete(g.busy, r) }
-
-func (g *gen) freeCount() int {
-	n := 0
-	for _, r := range pool {
-		if !g.busy[r] {
-			n++
-		}
-	}
-	return n
-}
+// fpSlot renders the frame slot at a displacement from $fp.
+func fpSlot(disp int) string { return strconv.Itoa(disp) + "($fp)" }
 
 // slotOff returns the $fp-relative offset of a named local or parameter.
 func (g *gen) slotOff(l ir.Local) int {
 	if l.IsParam {
 		return -4 * (l.Index + 1)
 	}
-	return -4 * (g.nparams + l.Index + 1)
+	return -4 * (g.Params + l.Index + 1)
 }
 
 // slot renders the frame-slot operand for a named local or parameter.
-func (g *gen) slot(l ir.Local) string {
-	return fmt.Sprintf("%d($fp)", g.slotOff(l))
-}
-
-// scratchPush reserves a spill slot beyond the named slots.
-func (g *gen) scratchPush() (string, error) {
-	if g.scratch >= maxScratch {
-		return "", g.errf("expression too deep: out of spill slots")
-	}
-	g.scratch++
-	return fmt.Sprintf("%d($fp)", -4*(g.nslots+g.scratch)), nil
-}
-
-func (g *gen) scratchPop() { g.scratch-- }
+func (g *gen) slot(l ir.Local) string { return fpSlot(g.slotOff(l)) }
 
 // isLeaf reports whether n loads into a register without temporaries.
 func (g *gen) isLeaf(n *ir.Node) bool {
@@ -117,53 +53,38 @@ func (g *gen) isLeaf(n *ir.Node) bool {
 func (g *gen) loadLeaf(n *ir.Node, r string) error {
 	switch n.Op {
 	case ir.Const:
-		g.ins("ldil %s, %d", r, n.Value)
+		g.Ins("ldil %s, %d", r, n.Value)
 	case ir.Load:
 		name := n.Kids[0].Name
-		if l, isLocal := g.fn.LookupLocal(name); isLocal {
-			g.ins("ldl %s, %s", r, g.slot(l))
+		if l, isLocal := g.Fn.LookupLocal(name); isLocal {
+			g.Ins("ldl %s, %s", r, g.slot(l))
 		} else {
-			g.ins("ldl %s, %s", r, name)
+			g.Ins("ldl %s, %s", r, name)
 		}
 	case ir.Addr:
-		if l, isLocal := g.fn.LookupLocal(n.Name); isLocal {
-			g.ins("lda %s, %d($fp)", r, g.slotOff(l))
+		if l, isLocal := g.Fn.LookupLocal(n.Name); isLocal {
+			g.Ins("lda %s, %d($fp)", r, g.slotOff(l))
 		} else {
-			g.ins("lda %s, %s", r, n.Name)
+			g.Ins("lda %s, %s", r, n.Name)
 		}
 	default:
-		return g.errf("not a leaf: %s", n)
+		return g.Errf("not a leaf: %s", n)
 	}
 	return nil
 }
 
 func (g *gen) genFunc(f *ir.Func) error {
-	g.fn = f
-	g.busy = map[string]bool{}
-	g.scratch = 0
-	g.nparams = 0
-	nlocals := 0
+	g.Slots = g.Params + g.Locals
+	frame := 8 + 4*g.Slots + 4*cc.MaxScratch
+	g.Raw("\t.globl " + f.Name)
+	g.Label(f.Name)
+	g.Ins("lda $sp, %d($sp)", -frame)
+	g.Ins("stl $26, %d($sp)", frame-4)
+	g.Ins("stl $fp, %d($sp)", frame-8)
+	g.Ins("lda $fp, %d($sp)", frame-8)
 	for _, l := range f.Locals {
 		if l.IsParam {
-			g.nparams++
-		} else {
-			nlocals++
-		}
-	}
-	if g.nparams > 3 {
-		return g.errf("%s: more than 3 parameters", f.Name)
-	}
-	g.nslots = g.nparams + nlocals
-	g.frame = 8 + 4*g.nslots + 4*maxScratch
-	g.raw("\t.globl " + f.Name)
-	g.label(f.Name)
-	g.ins("lda $sp, %d($sp)", -g.frame)
-	g.ins("stl $26, %d($sp)", g.frame-4)
-	g.ins("stl $fp, %d($sp)", g.frame-8)
-	g.ins("lda $fp, %d($sp)", g.frame-8)
-	for _, l := range f.Locals {
-		if l.IsParam {
-			g.ins("stl $%d, %s", 16+l.Index, g.slot(l))
+			g.Ins("stl $%d, %s", 16+l.Index, g.slot(l))
 		}
 	}
 	for _, st := range f.Body {
@@ -171,38 +92,25 @@ func (g *gen) genFunc(f *ir.Func) error {
 			return err
 		}
 	}
-	if !endsFlow(f.Body) {
+	if !cc.EndsFlow(f.Body) {
 		g.epilogue()
 	}
 	return nil
 }
 
-// endsFlow reports whether the function body already ends in a return or a
-// call to exit, making a trailing epilogue dead code.
-func endsFlow(body []*ir.Stmt) bool {
-	if len(body) == 0 {
-		return false
-	}
-	last := body[len(body)-1]
-	if last.Kind == ir.SRet {
-		return true
-	}
-	return last.Kind == ir.SExpr && last.Val != nil && last.Val.Op == ir.Call && last.Val.Name == "exit"
-}
-
 func (g *gen) epilogue() {
-	g.ins("ldl $26, 4($fp)")
-	g.ins("lda $sp, 8($fp)")
-	g.ins("ldl $fp, 0($fp)")
-	g.ins("ret ($26)")
+	g.Ins("ldl $26, 4($fp)")
+	g.Ins("lda $sp, 8($fp)")
+	g.Ins("ldl $fp, 0($fp)")
+	g.Ins("ret ($26)")
 }
 
 func (g *gen) genStmt(st *ir.Stmt) error {
 	switch st.Kind {
 	case ir.SLabel:
-		g.label(st.Target)
+		g.Label(st.Target)
 	case ir.SGoto:
-		g.ins("br %s", st.Target)
+		g.Ins("br %s", st.Target)
 	case ir.SBranch:
 		return g.genBranch(st)
 	case ir.SStore:
@@ -222,8 +130,8 @@ func (g *gen) genStmt(st *ir.Stmt) error {
 				if err != nil {
 					return err
 				}
-				g.ins("bis %s, $31, $0", r)
-				g.release(r)
+				g.Ins("bis %s, $31, $0", r)
+				g.Release(r)
 			}
 		}
 		g.epilogue()
@@ -244,8 +152,8 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 		if st.Rel == ir.NE {
 			op = "bne"
 		}
-		g.release(rA)
-		g.ins("%s %s, %s", op, rA, st.Target)
+		g.Release(rA)
+		g.Ins("%s %s, %s", op, rA, st.Target)
 		return nil
 	}
 	rB, err := g.evalReg(st.B)
@@ -270,15 +178,15 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 		cmp, br = "cmple", "bne"
 		a, b = rB, rA
 	}
-	t, ok := g.alloc()
+	t, ok := g.Alloc()
 	if !ok {
-		return g.errf("register pool exhausted")
+		return g.Errf("register pool exhausted")
 	}
-	g.ins("%s %s, %s, %s", cmp, a, b, t)
-	g.release(rA)
-	g.release(rB)
-	g.release(t)
-	g.ins("%s %s, %s", br, t, st.Target)
+	g.Ins("%s %s, %s, %s", cmp, a, b, t)
+	g.Release(rA)
+	g.Release(rB)
+	g.Release(t)
+	g.Ins("%s %s, %s", br, t, st.Target)
 	return nil
 }
 
@@ -294,17 +202,17 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 		return err
 	}
 	err = g.storeReg(r, addr)
-	g.release(r)
+	g.Release(r)
 	return err
 }
 
 // storeReg stores register r to the location named by addr.
 func (g *gen) storeReg(r string, addr *ir.Node) error {
 	if addr.Op == ir.Addr {
-		if l, isLocal := g.fn.LookupLocal(addr.Name); isLocal {
-			g.ins("stl %s, %s", r, g.slot(l))
+		if l, isLocal := g.Fn.LookupLocal(addr.Name); isLocal {
+			g.Ins("stl %s, %s", r, g.slot(l))
 		} else {
-			g.ins("stl %s, %s", r, addr.Name)
+			g.Ins("stl %s, %s", r, addr.Name)
 		}
 		return nil
 	}
@@ -312,8 +220,8 @@ func (g *gen) storeReg(r string, addr *ir.Node) error {
 	if err != nil {
 		return err
 	}
-	g.ins("stl %s, 0(%s)", r, ra)
-	g.release(ra)
+	g.Ins("stl %s, 0(%s)", r, ra)
+	g.Release(ra)
 	return nil
 }
 
@@ -326,9 +234,9 @@ var binOps = map[ir.Op]string{
 func (g *gen) evalReg(n *ir.Node) (string, error) {
 	switch {
 	case g.isLeaf(n):
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
 		return r, g.loadLeaf(n, r)
 	case n.Op == ir.Load: // *p as an rvalue
@@ -336,67 +244,67 @@ func (g *gen) evalReg(n *ir.Node) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.ins("ldl %s, 0(%s)", r, r)
+		g.Ins("ldl %s, 0(%s)", r, r)
 		return r, nil
 	case n.Op == ir.Neg || n.Op == ir.Not:
 		r, err := g.evalReg(n.Kids[0])
 		if err != nil {
 			return "", err
 		}
-		d, ok := g.alloc()
+		d, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
 		if n.Op == ir.Neg {
-			g.ins("subl $31, %s, %s", r, d)
+			g.Ins("subl $31, %s, %s", r, d)
 		} else {
-			g.ins("ornot $31, %s, %s", r, d)
+			g.Ins("ornot $31, %s, %s", r, d)
 		}
-		g.release(r)
+		g.Release(r)
 		return d, nil
 	case n.Op == ir.Call:
 		if err := g.genCall(n); err != nil {
 			return "", err
 		}
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("bis $0, $31, %s", r)
+		g.Ins("bis $0, $31, %s", r)
 		return r, nil
 	case n.Op.IsBinary():
 		return g.binary(n)
 	}
-	return "", g.errf("cannot evaluate %s", n)
+	return "", g.Errf("cannot evaluate %s", n)
 }
 
 func (g *gen) binary(n *ir.Node) (string, error) {
 	op, ok := binOps[n.Op]
 	if !ok {
-		return "", g.errf("no opcode for %s", n.Op)
+		return "", g.Errf("no opcode for %s", n.Op)
 	}
 	l, err := g.evalReg(n.Kids[0])
 	if err != nil {
 		return "", err
 	}
 	var r string
-	if n.Kids[1].ContainsCall() || g.freeCount() < 2 {
-		sl, err := g.scratchPush()
+	if n.Kids[1].ContainsCall() || g.FreeCount() < 2 {
+		sl, err := g.ScratchPush()
 		if err != nil {
 			return "", err
 		}
-		g.ins("stl %s, %s", l, sl)
-		g.release(l)
+		g.Ins("stl %s, %s", l, sl)
+		g.Release(l)
 		r, err = g.evalReg(n.Kids[1])
 		if err != nil {
 			return "", err
 		}
-		l2, ok := g.alloc()
+		l2, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("ldl %s, %s", l2, sl)
-		g.scratchPop()
+		g.Ins("ldl %s, %s", l2, sl)
+		g.ScratchPop()
 		l = l2
 	} else {
 		r, err = g.evalReg(n.Kids[1])
@@ -404,18 +312,18 @@ func (g *gen) binary(n *ir.Node) (string, error) {
 			return "", err
 		}
 	}
-	d, okd := g.alloc()
+	d, okd := g.Alloc()
 	if !okd {
-		return "", g.errf("register pool exhausted")
+		return "", g.Errf("register pool exhausted")
 	}
-	g.ins("%s %s, %s, %s", op, l, r, d)
+	g.Ins("%s %s, %s, %s", op, l, r, d)
 	if n.Op == ir.Shl {
 		// The 64-bit shifter can leave bits above 31: canonicalize the
 		// longword with a no-op add, which truncates and re-extends.
-		g.ins("addl %s, 0, %s", d, d)
+		g.Ins("addl %s, 0, %s", d, d)
 	}
-	g.release(l)
-	g.release(r)
+	g.Release(l)
+	g.Release(r)
 	return d, nil
 }
 
@@ -423,7 +331,7 @@ func (g *gen) binary(n *ir.Node) (string, error) {
 // a later argument contains a nested call, then jumps with jsr $26.
 func (g *gen) genCall(n *ir.Node) error {
 	if len(n.Kids) > 3 {
-		return g.errf("call %s: more than 3 arguments", n.Name)
+		return g.Errf("call %s: more than 3 arguments", n.Name)
 	}
 	anyCall := false
 	for _, k := range n.Kids {
@@ -438,19 +346,19 @@ func (g *gen) genCall(n *ir.Node) error {
 			if err != nil {
 				return err
 			}
-			sl, err := g.scratchPush()
+			sl, err := g.ScratchPush()
 			if err != nil {
 				return err
 			}
-			g.ins("stl %s, %s", r, sl)
-			g.release(r)
+			g.Ins("stl %s, %s", r, sl)
+			g.Release(r)
 			slots[i] = sl
 		}
 		for i, sl := range slots {
-			g.ins("ldl $%d, %s", 16+i, sl)
+			g.Ins("ldl $%d, %s", 16+i, sl)
 		}
 		for range slots {
-			g.scratchPop()
+			g.ScratchPop()
 		}
 	} else {
 		for i, k := range n.Kids {
@@ -464,11 +372,11 @@ func (g *gen) genCall(n *ir.Node) error {
 				if err != nil {
 					return err
 				}
-				g.ins("bis %s, $31, %s", r, dst)
-				g.release(r)
+				g.Ins("bis %s, $31, %s", r, dst)
+				g.Release(r)
 			}
 		}
 	}
-	g.ins("jsr $26, %s", n.Name)
+	g.Ins("jsr $26, %s", n.Name)
 	return nil
 }

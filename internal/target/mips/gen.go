@@ -2,105 +2,41 @@ package mips
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
-	"srcg/internal/asm"
 	"srcg/internal/cc"
 	"srcg/internal/ir"
 )
 
-// compileC lowers mini-C to MIPS assembly. Named values live in frame
-// slots below $fp; expressions are evaluated in $8..$15 with a fresh
-// destination register per operation; $4..$7 carry arguments and $2 the
-// return value. Multiplication and division run through the hidden hi/lo
-// registers via mult/div + mflo/mfhi.
-func compileC(src string) (string, error) {
-	u, err := cc.CompileUnit(src)
-	if err != nil {
-		return "", err
-	}
-	g := &gen{unit: u}
-	for _, f := range u.Funcs {
-		if err := g.genFunc(f); err != nil {
-			return "", err
-		}
-	}
-	for _, gl := range u.Globals {
-		g.raw("\t.comm " + gl.Name + ", 4")
-	}
-	for _, s := range u.Strings {
-		g.raw(s.Label + ":\t.asciz \"" + asm.EscapeString(s.Value) + "\"")
-	}
-	return g.buf.String(), nil
+// CompileC implements target.Toolchain: it lowers mini-C to MIPS
+// assembly. Named values live in frame slots below $fp; expressions are
+// evaluated in $8..$15 with a fresh destination register per operation;
+// $4..$7 carry arguments and $2 the return value. Multiplication and
+// division run through the hidden hi/lo registers via mult/div +
+// mflo/mfhi.
+func (t *Toolchain) CompileC(src string) (string, error) {
+	g := &gen{cc.Backend{Arch: "mips", Pool: pool, Frame: fpSlot, MaxParams: 3}}
+	return g.Compile(src, g.genFunc)
 }
 
 // pool is the expression-temporary allocation order.
 var pool = []string{"$8", "$9", "$10", "$11", "$12", "$13", "$14", "$15"}
 
-// maxScratch frame slots hold values that must survive a nested call.
-const maxScratch = 4
+type gen struct{ cc.Backend }
 
-type gen struct {
-	buf     strings.Builder
-	unit    *ir.Unit
-	fn      *ir.Func
-	busy    map[string]bool
-	nparams int
-	nslots  int
-	frame   int
-	scratch int
-}
-
-func (g *gen) raw(s string)                          { g.buf.WriteString(s + "\n") }
-func (g *gen) ins(f string, a ...interface{})        { g.raw("\t" + fmt.Sprintf(f, a...)) }
-func (g *gen) label(name string)                     { g.raw(name + ":") }
-func (g *gen) errf(f string, a ...interface{}) error { return fmt.Errorf("mips-cc: "+f, a...) }
-
-func (g *gen) alloc() (string, bool) {
-	for _, r := range pool {
-		if !g.busy[r] {
-			g.busy[r] = true
-			return r, true
-		}
-	}
-	return "", false
-}
-
-func (g *gen) release(r string) { delete(g.busy, r) }
-
-func (g *gen) freeCount() int {
-	n := 0
-	for _, r := range pool {
-		if !g.busy[r] {
-			n++
-		}
-	}
-	return n
-}
+// fpSlot renders the frame slot at a displacement from $fp.
+func fpSlot(disp int) string { return strconv.Itoa(disp) + "($fp)" }
 
 // slotOff returns the $fp-relative offset of a named local or parameter.
 func (g *gen) slotOff(l ir.Local) int {
 	if l.IsParam {
 		return -4 * (l.Index + 1)
 	}
-	return -4 * (g.nparams + l.Index + 1)
+	return -4 * (g.Params + l.Index + 1)
 }
 
 // slot renders the frame-slot operand for a named local or parameter.
-func (g *gen) slot(l ir.Local) string {
-	return fmt.Sprintf("%d($fp)", g.slotOff(l))
-}
-
-// scratchPush reserves a spill slot beyond the named slots.
-func (g *gen) scratchPush() (string, error) {
-	if g.scratch >= maxScratch {
-		return "", g.errf("expression too deep: out of spill slots")
-	}
-	g.scratch++
-	return fmt.Sprintf("%d($fp)", -4*(g.nslots+g.scratch)), nil
-}
-
-func (g *gen) scratchPop() { g.scratch-- }
+func (g *gen) slot(l ir.Local) string { return fpSlot(g.slotOff(l)) }
 
 // isLeaf reports whether n loads into a register without temporaries.
 func (g *gen) isLeaf(n *ir.Node) bool {
@@ -117,53 +53,38 @@ func (g *gen) isLeaf(n *ir.Node) bool {
 func (g *gen) loadLeaf(n *ir.Node, r string) error {
 	switch n.Op {
 	case ir.Const:
-		g.ins("li %s, %d", r, n.Value)
+		g.Ins("li %s, %d", r, n.Value)
 	case ir.Load:
 		name := n.Kids[0].Name
-		if l, isLocal := g.fn.LookupLocal(name); isLocal {
-			g.ins("lw %s, %s", r, g.slot(l))
+		if l, isLocal := g.Fn.LookupLocal(name); isLocal {
+			g.Ins("lw %s, %s", r, g.slot(l))
 		} else {
-			g.ins("lw %s, %s", r, name)
+			g.Ins("lw %s, %s", r, name)
 		}
 	case ir.Addr:
-		if l, isLocal := g.fn.LookupLocal(n.Name); isLocal {
-			g.ins("addu %s, $fp, %d", r, g.slotOff(l))
+		if l, isLocal := g.Fn.LookupLocal(n.Name); isLocal {
+			g.Ins("addu %s, $fp, %d", r, g.slotOff(l))
 		} else {
-			g.ins("la %s, %s", r, n.Name)
+			g.Ins("la %s, %s", r, n.Name)
 		}
 	default:
-		return g.errf("not a leaf: %s", n)
+		return g.Errf("not a leaf: %s", n)
 	}
 	return nil
 }
 
 func (g *gen) genFunc(f *ir.Func) error {
-	g.fn = f
-	g.busy = map[string]bool{}
-	g.scratch = 0
-	g.nparams = 0
-	nlocals := 0
+	g.Slots = g.Params + g.Locals
+	frame := 8 + 4*g.Slots + 4*cc.MaxScratch
+	g.Raw("\t.globl " + f.Name)
+	g.Label(f.Name)
+	g.Ins("subu $sp, $sp, %d", frame)
+	g.Ins("sw $31, %d($sp)", frame-4)
+	g.Ins("sw $fp, %d($sp)", frame-8)
+	g.Ins("addu $fp, $sp, %d", frame-8)
 	for _, l := range f.Locals {
 		if l.IsParam {
-			g.nparams++
-		} else {
-			nlocals++
-		}
-	}
-	if g.nparams > 3 {
-		return g.errf("%s: more than 3 parameters", f.Name)
-	}
-	g.nslots = g.nparams + nlocals
-	g.frame = 8 + 4*g.nslots + 4*maxScratch
-	g.raw("\t.globl " + f.Name)
-	g.label(f.Name)
-	g.ins("subu $sp, $sp, %d", g.frame)
-	g.ins("sw $31, %d($sp)", g.frame-4)
-	g.ins("sw $fp, %d($sp)", g.frame-8)
-	g.ins("addu $fp, $sp, %d", g.frame-8)
-	for _, l := range f.Locals {
-		if l.IsParam {
-			g.ins("sw $%d, %s", 4+l.Index, g.slot(l))
+			g.Ins("sw $%d, %s", 4+l.Index, g.slot(l))
 		}
 	}
 	for _, st := range f.Body {
@@ -171,38 +92,25 @@ func (g *gen) genFunc(f *ir.Func) error {
 			return err
 		}
 	}
-	if !endsFlow(f.Body) {
+	if !cc.EndsFlow(f.Body) {
 		g.epilogue()
 	}
 	return nil
 }
 
-// endsFlow reports whether the function body already ends in a return or a
-// call to exit, making a trailing epilogue dead code.
-func endsFlow(body []*ir.Stmt) bool {
-	if len(body) == 0 {
-		return false
-	}
-	last := body[len(body)-1]
-	if last.Kind == ir.SRet {
-		return true
-	}
-	return last.Kind == ir.SExpr && last.Val != nil && last.Val.Op == ir.Call && last.Val.Name == "exit"
-}
-
 func (g *gen) epilogue() {
-	g.ins("lw $31, 4($fp)")
-	g.ins("addu $sp, $fp, 8")
-	g.ins("lw $fp, 0($fp)")
-	g.ins("jr $31")
+	g.Ins("lw $31, 4($fp)")
+	g.Ins("addu $sp, $fp, 8")
+	g.Ins("lw $fp, 0($fp)")
+	g.Ins("jr $31")
 }
 
 func (g *gen) genStmt(st *ir.Stmt) error {
 	switch st.Kind {
 	case ir.SLabel:
-		g.label(st.Target)
+		g.Label(st.Target)
 	case ir.SGoto:
-		g.ins("j %s", st.Target)
+		g.Ins("j %s", st.Target)
 	case ir.SBranch:
 		return g.genBranch(st)
 	case ir.SStore:
@@ -222,8 +130,8 @@ func (g *gen) genStmt(st *ir.Stmt) error {
 				if err != nil {
 					return err
 				}
-				g.ins("addu $2, %s, $0", r)
-				g.release(r)
+				g.Ins("addu $2, %s, $0", r)
+				g.Release(r)
 			}
 		}
 		g.epilogue()
@@ -246,10 +154,10 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 		if err != nil {
 			return err
 		}
-		defer g.release(rB)
+		defer g.Release(rB)
 	}
-	g.release(rA)
-	g.ins("%s %s, %s, %s", branchOps[st.Rel], rA, rB, st.Target)
+	g.Release(rA)
+	g.Ins("%s %s, %s, %s", branchOps[st.Rel], rA, rB, st.Target)
 	return nil
 }
 
@@ -265,17 +173,17 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 		return err
 	}
 	err = g.storeReg(r, addr)
-	g.release(r)
+	g.Release(r)
 	return err
 }
 
 // storeReg stores register r to the location named by addr.
 func (g *gen) storeReg(r string, addr *ir.Node) error {
 	if addr.Op == ir.Addr {
-		if l, isLocal := g.fn.LookupLocal(addr.Name); isLocal {
-			g.ins("sw %s, %s", r, g.slot(l))
+		if l, isLocal := g.Fn.LookupLocal(addr.Name); isLocal {
+			g.Ins("sw %s, %s", r, g.slot(l))
 		} else {
-			g.ins("sw %s, %s", r, addr.Name)
+			g.Ins("sw %s, %s", r, addr.Name)
 		}
 		return nil
 	}
@@ -283,8 +191,8 @@ func (g *gen) storeReg(r string, addr *ir.Node) error {
 	if err != nil {
 		return err
 	}
-	g.ins("sw %s, 0(%s)", r, ra)
-	g.release(ra)
+	g.Ins("sw %s, 0(%s)", r, ra)
+	g.Release(ra)
 	return nil
 }
 
@@ -297,9 +205,9 @@ var binOps = map[ir.Op]string{
 func (g *gen) evalReg(n *ir.Node) (string, error) {
 	switch {
 	case g.isLeaf(n):
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
 		return r, g.loadLeaf(n, r)
 	case n.Op == ir.Load: // *p as an rvalue
@@ -307,23 +215,23 @@ func (g *gen) evalReg(n *ir.Node) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.ins("lw %s, 0(%s)", r, r)
+		g.Ins("lw %s, 0(%s)", r, r)
 		return r, nil
 	case n.Op == ir.Neg || n.Op == ir.Not:
 		r, err := g.evalReg(n.Kids[0])
 		if err != nil {
 			return "", err
 		}
-		d, ok := g.alloc()
+		d, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
 		if n.Op == ir.Neg {
-			g.ins("subu %s, $0, %s", d, r)
+			g.Ins("subu %s, $0, %s", d, r)
 		} else {
-			g.ins("nor %s, %s, $0", d, r)
+			g.Ins("nor %s, %s, $0", d, r)
 		}
-		g.release(r)
+		g.Release(r)
 		return d, nil
 	case n.Op == ir.Mul || n.Op == ir.Div || n.Op == ir.Mod:
 		return g.mulDiv(n)
@@ -331,16 +239,16 @@ func (g *gen) evalReg(n *ir.Node) (string, error) {
 		if err := g.genCall(n); err != nil {
 			return "", err
 		}
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("addu %s, $2, $0", r)
+		g.Ins("addu %s, $2, $0", r)
 		return r, nil
 	case n.Op.IsBinary():
 		return g.binary(n)
 	}
-	return "", g.errf("cannot evaluate %s", n)
+	return "", g.Errf("cannot evaluate %s", n)
 }
 
 // operands evaluates both children of a binary node, spilling the left
@@ -350,23 +258,23 @@ func (g *gen) operands(n *ir.Node) (string, string, error) {
 	if err != nil {
 		return "", "", err
 	}
-	if n.Kids[1].ContainsCall() || g.freeCount() < 2 {
-		sl, err := g.scratchPush()
+	if n.Kids[1].ContainsCall() || g.FreeCount() < 2 {
+		sl, err := g.ScratchPush()
 		if err != nil {
 			return "", "", err
 		}
-		g.ins("sw %s, %s", l, sl)
-		g.release(l)
+		g.Ins("sw %s, %s", l, sl)
+		g.Release(l)
 		r, err := g.evalReg(n.Kids[1])
 		if err != nil {
 			return "", "", err
 		}
-		l2, ok := g.alloc()
+		l2, ok := g.Alloc()
 		if !ok {
-			return "", "", g.errf("register pool exhausted")
+			return "", "", g.Errf("register pool exhausted")
 		}
-		g.ins("lw %s, %s", l2, sl)
-		g.scratchPop()
+		g.Ins("lw %s, %s", l2, sl)
+		g.ScratchPop()
 		return l2, r, nil
 	}
 	r, err := g.evalReg(n.Kids[1])
@@ -379,19 +287,19 @@ func (g *gen) operands(n *ir.Node) (string, string, error) {
 func (g *gen) binary(n *ir.Node) (string, error) {
 	op, ok := binOps[n.Op]
 	if !ok {
-		return "", g.errf("no opcode for %s", n.Op)
+		return "", g.Errf("no opcode for %s", n.Op)
 	}
 	l, r, err := g.operands(n)
 	if err != nil {
 		return "", err
 	}
-	d, okd := g.alloc()
+	d, okd := g.Alloc()
 	if !okd {
-		return "", g.errf("register pool exhausted")
+		return "", g.Errf("register pool exhausted")
 	}
-	g.ins("%s %s, %s, %s", op, d, l, r)
-	g.release(l)
-	g.release(r)
+	g.Ins("%s %s, %s, %s", op, d, l, r)
+	g.Release(l)
+	g.Release(r)
 	return d, nil
 }
 
@@ -403,21 +311,21 @@ func (g *gen) mulDiv(n *ir.Node) (string, error) {
 		return "", err
 	}
 	if n.Op == ir.Mul {
-		g.ins("mult %s, %s", l, r)
+		g.Ins("mult %s, %s", l, r)
 	} else {
-		g.ins("div %s, %s", l, r)
+		g.Ins("div %s, %s", l, r)
 	}
-	d, ok := g.alloc()
+	d, ok := g.Alloc()
 	if !ok {
-		return "", g.errf("register pool exhausted")
+		return "", g.Errf("register pool exhausted")
 	}
 	if n.Op == ir.Mod {
-		g.ins("mfhi %s", d)
+		g.Ins("mfhi %s", d)
 	} else {
-		g.ins("mflo %s", d)
+		g.Ins("mflo %s", d)
 	}
-	g.release(l)
-	g.release(r)
+	g.Release(l)
+	g.Release(r)
 	return d, nil
 }
 
@@ -425,7 +333,7 @@ func (g *gen) mulDiv(n *ir.Node) (string, error) {
 // later argument contains a nested call, then jumps with jal.
 func (g *gen) genCall(n *ir.Node) error {
 	if len(n.Kids) > 3 {
-		return g.errf("call %s: more than 3 arguments", n.Name)
+		return g.Errf("call %s: more than 3 arguments", n.Name)
 	}
 	anyCall := false
 	for _, k := range n.Kids {
@@ -440,19 +348,19 @@ func (g *gen) genCall(n *ir.Node) error {
 			if err != nil {
 				return err
 			}
-			sl, err := g.scratchPush()
+			sl, err := g.ScratchPush()
 			if err != nil {
 				return err
 			}
-			g.ins("sw %s, %s", r, sl)
-			g.release(r)
+			g.Ins("sw %s, %s", r, sl)
+			g.Release(r)
 			slots[i] = sl
 		}
 		for i, sl := range slots {
-			g.ins("lw $%d, %s", 4+i, sl)
+			g.Ins("lw $%d, %s", 4+i, sl)
 		}
 		for range slots {
-			g.scratchPop()
+			g.ScratchPop()
 		}
 	} else {
 		for i, k := range n.Kids {
@@ -466,11 +374,11 @@ func (g *gen) genCall(n *ir.Node) error {
 				if err != nil {
 					return err
 				}
-				g.ins("addu %s, %s, $0", dst, r)
-				g.release(r)
+				g.Ins("addu %s, %s, $0", dst, r)
+				g.Release(r)
 			}
 		}
 	}
-	g.ins("jal %s", n.Name)
+	g.Ins("jal %s", n.Name)
 	return nil
 }

@@ -2,80 +2,31 @@ package sparc
 
 import (
 	"fmt"
-	"strings"
 
-	"srcg/internal/asm"
 	"srcg/internal/cc"
 	"srcg/internal/ir"
 )
 
-// compileC lowers mini-C to SPARC assembly. All named values live in frame
-// slots below %fp; expressions are evaluated in the %l registers; %o0/%o1
-// carry arguments to the millicode multiply/divide routines and to
-// functions; %g1 stages global-variable addresses.
-func compileC(src string) (string, error) {
-	u, err := cc.CompileUnit(src)
-	if err != nil {
-		return "", err
-	}
-	g := &gen{unit: u}
-	for _, f := range u.Funcs {
-		if err := g.genFunc(f); err != nil {
-			return "", err
-		}
-	}
-	for _, gl := range u.Globals {
-		g.raw("\t.comm " + gl.Name + ", 4")
-	}
-	for _, s := range u.Strings {
-		g.raw(s.Label + ":\t.asciz \"" + asm.EscapeString(s.Value) + "\"")
-	}
-	return g.buf.String(), nil
+// CompileC implements target.Toolchain: it lowers mini-C to SPARC
+// assembly. All named values live in frame slots below %fp; expressions
+// are evaluated in the %l registers; %o0/%o1 carry arguments to the
+// millicode multiply/divide routines and to functions; %g1 stages
+// global-variable addresses.
+func (t *Toolchain) CompileC(src string) (string, error) {
+	g := &gen{Backend: cc.Backend{Arch: "sparc", Pool: pool, Frame: fpSlot, MaxParams: 3}}
+	return g.Compile(src, g.genFunc)
 }
 
 // pool is the expression-temporary allocation order.
 var pool = []string{"%l0", "%l1", "%l2", "%l3", "%l4", "%l5", "%l6", "%l7"}
 
-// maxScratch frame slots hold values that must survive a nested call.
-const maxScratch = 4
-
 type gen struct {
-	buf     strings.Builder
-	unit    *ir.Unit
-	fn      *ir.Func
-	busy    map[string]bool
-	nparams int
-	nslots  int
-	frame   int
-	scratch int
+	cc.Backend
+	frame int
 }
 
-func (g *gen) raw(s string)                          { g.buf.WriteString(s + "\n") }
-func (g *gen) ins(f string, a ...interface{})        { g.raw("\t" + fmt.Sprintf(f, a...)) }
-func (g *gen) label(name string)                     { g.raw(name + ":") }
-func (g *gen) errf(f string, a ...interface{}) error { return fmt.Errorf("sparc-cc: "+f, a...) }
-
-func (g *gen) alloc() (string, bool) {
-	for _, r := range pool {
-		if !g.busy[r] {
-			g.busy[r] = true
-			return r, true
-		}
-	}
-	return "", false
-}
-
-func (g *gen) release(r string) { delete(g.busy, r) }
-
-func (g *gen) freeCount() int {
-	n := 0
-	for _, r := range pool {
-		if !g.busy[r] {
-			n++
-		}
-	}
-	return n
-}
+// fpSlot renders the frame slot at a displacement from %fp.
+func fpSlot(disp int) string { return mem("%fp", disp) }
 
 // mem renders a register-relative memory operand.
 func mem(base string, disp int) string {
@@ -92,30 +43,9 @@ func mem(base string, disp int) string {
 // Parameters occupy the first slots below %fp, locals the next.
 func (g *gen) slot(l ir.Local) string {
 	if l.IsParam {
-		return mem("%fp", -4*(l.Index+1))
+		return fpSlot(-4 * (l.Index + 1))
 	}
-	return mem("%fp", -4*(g.nparams+l.Index+1))
-}
-
-// scratchPush reserves a spill slot beyond the named slots.
-func (g *gen) scratchPush() (string, error) {
-	if g.scratch >= maxScratch {
-		return "", g.errf("expression too deep: out of spill slots")
-	}
-	g.scratch++
-	return mem("%fp", -4*(g.nslots+g.scratch)), nil
-}
-
-func (g *gen) scratchPop() { g.scratch-- }
-
-// isData reports whether name is a data symbol rather than a function.
-func (g *gen) isData(name string) bool {
-	for _, f := range g.unit.Funcs {
-		if f.Name == name {
-			return false
-		}
-	}
-	return true
+	return fpSlot(-4 * (g.Params + l.Index + 1))
 }
 
 // isLeaf reports whether n can be loaded into a register without any
@@ -137,7 +67,7 @@ func (g *gen) delayable(n *ir.Node) bool {
 		return true
 	}
 	if n.Op == ir.Load && n.Kids[0].Op == ir.Addr {
-		_, isLocal := g.fn.LookupLocal(n.Kids[0].Name)
+		_, isLocal := g.Fn.LookupLocal(n.Kids[0].Name)
 		return isLocal
 	}
 	return false
@@ -147,27 +77,27 @@ func (g *gen) delayable(n *ir.Node) bool {
 func (g *gen) loadLeaf(n *ir.Node, r string) error {
 	switch n.Op {
 	case ir.Const:
-		g.ins("set %d, %s", n.Value, r)
+		g.Ins("set %d, %s", n.Value, r)
 	case ir.Load:
 		name := n.Kids[0].Name
-		if l, isLocal := g.fn.LookupLocal(name); isLocal {
-			g.ins("ld %s, %s", g.slot(l), r)
+		if l, isLocal := g.Fn.LookupLocal(name); isLocal {
+			g.Ins("ld %s, %s", g.slot(l), r)
 		} else {
-			g.ins("set %s, %s", name, r)
-			g.ins("ld %s, %s", mem(r, 0), r)
+			g.Ins("set %s, %s", name, r)
+			g.Ins("ld %s, %s", mem(r, 0), r)
 		}
 	case ir.Addr:
-		if l, isLocal := g.fn.LookupLocal(n.Name); isLocal {
+		if l, isLocal := g.Fn.LookupLocal(n.Name); isLocal {
 			off := -4 * (l.Index + 1)
 			if !l.IsParam {
-				off = -4 * (g.nparams + l.Index + 1)
+				off = -4 * (g.Params + l.Index + 1)
 			}
-			g.ins("add %%fp, %d, %s", off, r)
+			g.Ins("add %%fp, %d, %s", off, r)
 		} else {
-			g.ins("set %s, %s", n.Name, r)
+			g.Ins("set %s, %s", n.Name, r)
 		}
 	default:
-		return g.errf("not a leaf: %s", n)
+		return g.Errf("not a leaf: %s", n)
 	}
 	return nil
 }
@@ -190,32 +120,17 @@ func dangerous(n *ir.Node) bool {
 }
 
 func (g *gen) genFunc(f *ir.Func) error {
-	g.fn = f
-	g.busy = map[string]bool{}
-	g.scratch = 0
-	g.nparams = 0
-	nlocals := 0
+	g.Slots = g.Params + g.Locals
+	g.frame = 8 + 4*g.Slots + 4*cc.MaxScratch
+	g.Raw("\t.globl " + f.Name)
+	g.Label(f.Name)
+	g.Ins("add %%sp, %d, %%sp", -g.frame)
+	g.Ins("st %%o7, [%%sp]")
+	g.Ins("st %%fp, [%%sp+4]")
+	g.Ins("add %%sp, %d, %%fp", g.frame)
 	for _, l := range f.Locals {
 		if l.IsParam {
-			g.nparams++
-		} else {
-			nlocals++
-		}
-	}
-	if g.nparams > 3 {
-		return g.errf("%s: more than 3 parameters", f.Name)
-	}
-	g.nslots = g.nparams + nlocals
-	g.frame = 8 + 4*g.nslots + 4*maxScratch
-	g.raw("\t.globl " + f.Name)
-	g.label(f.Name)
-	g.ins("add %%sp, %d, %%sp", -g.frame)
-	g.ins("st %%o7, [%%sp]")
-	g.ins("st %%fp, [%%sp+4]")
-	g.ins("add %%sp, %d, %%fp", g.frame)
-	for _, l := range f.Locals {
-		if l.IsParam {
-			g.ins("st %%o%d, %s", l.Index, g.slot(l))
+			g.Ins("st %%o%d, %s", l.Index, g.slot(l))
 		}
 	}
 	for _, st := range f.Body {
@@ -223,38 +138,25 @@ func (g *gen) genFunc(f *ir.Func) error {
 			return err
 		}
 	}
-	if !endsFlow(f.Body) {
+	if !cc.EndsFlow(f.Body) {
 		g.epilogue()
 	}
 	return nil
 }
 
-// endsFlow reports whether the function body already ends in a return or a
-// call to exit, making a trailing epilogue dead code.
-func endsFlow(body []*ir.Stmt) bool {
-	if len(body) == 0 {
-		return false
-	}
-	last := body[len(body)-1]
-	if last.Kind == ir.SRet {
-		return true
-	}
-	return last.Kind == ir.SExpr && last.Val != nil && last.Val.Op == ir.Call && last.Val.Name == "exit"
-}
-
 func (g *gen) epilogue() {
-	g.ins("ld [%%sp], %%o7")
-	g.ins("ld [%%sp+4], %%fp")
-	g.ins("add %%sp, %d, %%sp", g.frame)
-	g.ins("retl")
+	g.Ins("ld [%%sp], %%o7")
+	g.Ins("ld [%%sp+4], %%fp")
+	g.Ins("add %%sp, %d, %%sp", g.frame)
+	g.Ins("retl")
 }
 
 func (g *gen) genStmt(st *ir.Stmt) error {
 	switch st.Kind {
 	case ir.SLabel:
-		g.label(st.Target)
+		g.Label(st.Target)
 	case ir.SGoto:
-		g.ins("b %s", st.Target)
+		g.Ins("b %s", st.Target)
 	case ir.SBranch:
 		return g.genBranch(st)
 	case ir.SStore:
@@ -274,8 +176,8 @@ func (g *gen) genStmt(st *ir.Stmt) error {
 				if err != nil {
 					return err
 				}
-				g.ins("or %s, %%g0, %%o0", r)
-				g.release(r)
+				g.Ins("or %s, %%g0, %%o0", r)
+				g.Release(r)
 			}
 		}
 		g.epilogue()
@@ -294,19 +196,19 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 	}
 	switch {
 	case st.B.Op == ir.Const && st.B.Value == 0:
-		g.ins("cmp %s, %%g0", rA)
+		g.Ins("cmp %s, %%g0", rA)
 	case st.B.Op == ir.Const && st.B.Value >= -4096 && st.B.Value <= 4095:
-		g.ins("cmp %s, %d", rA, st.B.Value)
+		g.Ins("cmp %s, %d", rA, st.B.Value)
 	default:
 		rB, err := g.evalReg(st.B)
 		if err != nil {
 			return err
 		}
-		g.ins("cmp %s, %s", rA, rB)
-		g.release(rB)
+		g.Ins("cmp %s, %s", rA, rB)
+		g.Release(rB)
 	}
-	g.release(rA)
-	g.ins("%s %s", branchOps[st.Rel], st.Target)
+	g.Release(rA)
+	g.Ins("%s %s", branchOps[st.Rel], st.Target)
 	return nil
 }
 
@@ -323,15 +225,15 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 		}
 		return g.storeReg("%o0", addr)
 	case g.isLeaf(val):
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return g.errf("register pool exhausted")
+			return g.Errf("register pool exhausted")
 		}
 		if err := g.loadLeaf(val, r); err != nil {
 			return err
 		}
 		err := g.storeReg(r, addr)
-		g.release(r)
+		g.Release(r)
 		return err
 	default:
 		r, err := g.evalReg(val)
@@ -339,7 +241,7 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 			return err
 		}
 		err = g.storeReg(r, addr)
-		g.release(r)
+		g.Release(r)
 		return err
 	}
 }
@@ -348,20 +250,20 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 // a global (staged through %g1), or a computed pointer.
 func (g *gen) storeReg(r string, addr *ir.Node) error {
 	if addr.Op == ir.Addr {
-		if l, isLocal := g.fn.LookupLocal(addr.Name); isLocal {
-			g.ins("st %s, %s", r, g.slot(l))
+		if l, isLocal := g.Fn.LookupLocal(addr.Name); isLocal {
+			g.Ins("st %s, %s", r, g.slot(l))
 			return nil
 		}
-		g.ins("set %s, %%g1", addr.Name)
-		g.ins("st %s, [%%g1]", r)
+		g.Ins("set %s, %%g1", addr.Name)
+		g.Ins("st %s, [%%g1]", r)
 		return nil
 	}
 	ra, err := g.evalReg(addr)
 	if err != nil {
 		return err
 	}
-	g.ins("st %s, %s", r, mem(ra, 0))
-	g.release(ra)
+	g.Ins("st %s, %s", r, mem(ra, 0))
+	g.Release(ra)
 	return nil
 }
 
@@ -374,9 +276,9 @@ var binOps = map[ir.Op]string{
 func (g *gen) evalReg(n *ir.Node) (string, error) {
 	switch {
 	case g.isLeaf(n):
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
 		return r, g.loadLeaf(n, r)
 	case n.Op == ir.Load: // *p as an rvalue
@@ -384,86 +286,86 @@ func (g *gen) evalReg(n *ir.Node) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.ins("ld %s, %s", mem(r, 0), r)
+		g.Ins("ld %s, %s", mem(r, 0), r)
 		return r, nil
 	case n.Op == ir.Neg:
 		r, err := g.evalReg(n.Kids[0])
 		if err != nil {
 			return "", err
 		}
-		g.ins("sub %%g0, %s, %s", r, r)
+		g.Ins("sub %%g0, %s, %s", r, r)
 		return r, nil
 	case n.Op == ir.Not:
 		r, err := g.evalReg(n.Kids[0])
 		if err != nil {
 			return "", err
 		}
-		g.ins("xnor %s, %%g0, %s", r, r)
+		g.Ins("xnor %s, %%g0, %s", r, r)
 		return r, nil
 	case n.Op == ir.Mul || n.Op == ir.Div || n.Op == ir.Mod:
 		if err := g.mulCall(n); err != nil {
 			return "", err
 		}
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("or %%o0, %%g0, %s", r)
+		g.Ins("or %%o0, %%g0, %s", r)
 		return r, nil
 	case n.Op == ir.Call:
 		if err := g.genCall(n); err != nil {
 			return "", err
 		}
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("or %%o0, %%g0, %s", r)
+		g.Ins("or %%o0, %%g0, %s", r)
 		return r, nil
 	case n.Op.IsBinary():
 		return g.binary(n)
 	}
-	return "", g.errf("cannot evaluate %s", n)
+	return "", g.Errf("cannot evaluate %s", n)
 }
 
 func (g *gen) binary(n *ir.Node) (string, error) {
 	op, ok := binOps[n.Op]
 	if !ok {
-		return "", g.errf("no opcode for %s", n.Op)
+		return "", g.Errf("no opcode for %s", n.Op)
 	}
 	l, err := g.evalReg(n.Kids[0])
 	if err != nil {
 		return "", err
 	}
-	if n.Kids[1].ContainsCall() || g.freeCount() == 0 {
+	if n.Kids[1].ContainsCall() || g.FreeCount() == 0 {
 		// Spill the left value into the frame across the right-hand
 		// evaluation: a function call would clobber every %l register.
-		sl, err := g.scratchPush()
+		sl, err := g.ScratchPush()
 		if err != nil {
 			return "", err
 		}
-		g.ins("st %s, %s", l, sl)
-		g.release(l)
+		g.Ins("st %s, %s", l, sl)
+		g.Release(l)
 		r, err := g.evalReg(n.Kids[1])
 		if err != nil {
 			return "", err
 		}
-		l2, ok := g.alloc()
+		l2, ok := g.Alloc()
 		if !ok {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("ld %s, %s", sl, l2)
-		g.scratchPop()
-		g.ins("%s %s, %s, %s", op, l2, r, l2)
-		g.release(r)
+		g.Ins("ld %s, %s", sl, l2)
+		g.ScratchPop()
+		g.Ins("%s %s, %s, %s", op, l2, r, l2)
+		g.Release(r)
 		return l2, nil
 	}
 	r, err := g.evalReg(n.Kids[1])
 	if err != nil {
 		return "", err
 	}
-	g.ins("%s %s, %s, %s", op, l, r, l)
-	g.release(r)
+	g.Ins("%s %s, %s, %s", op, l, r, l)
+	g.Release(r)
 	return l, nil
 }
 
@@ -482,38 +384,38 @@ func (g *gen) mulCall(n *ir.Node) error {
 			return err
 		}
 		if n.Kids[1].ContainsCall() {
-			sl, err := g.scratchPush()
+			sl, err := g.ScratchPush()
 			if err != nil {
 				return err
 			}
-			g.ins("st %s, %s", l, sl)
-			g.release(l)
+			g.Ins("st %s, %s", l, sl)
+			g.Release(l)
 			r, err := g.evalReg(n.Kids[1])
 			if err != nil {
 				return err
 			}
-			l2, ok := g.alloc()
+			l2, ok := g.Alloc()
 			if !ok {
-				return g.errf("register pool exhausted")
+				return g.Errf("register pool exhausted")
 			}
-			g.ins("ld %s, %s", sl, l2)
-			g.scratchPop()
-			g.ins("or %s, %%g0, %%o0", l2)
-			g.ins("or %s, %%g0, %%o1", r)
-			g.release(l2)
-			g.release(r)
+			g.Ins("ld %s, %s", sl, l2)
+			g.ScratchPop()
+			g.Ins("or %s, %%g0, %%o0", l2)
+			g.Ins("or %s, %%g0, %%o1", r)
+			g.Release(l2)
+			g.Release(r)
 		} else {
 			r, err := g.evalReg(n.Kids[1])
 			if err != nil {
 				return err
 			}
-			g.ins("or %s, %%g0, %%o0", l)
-			g.ins("or %s, %%g0, %%o1", r)
-			g.release(l)
-			g.release(r)
+			g.Ins("or %s, %%g0, %%o0", l)
+			g.Ins("or %s, %%g0, %%o1", r)
+			g.Release(l)
+			g.Release(r)
 		}
-		g.ins("call %s", op)
-		g.ins("nop")
+		g.Ins("call %s", op)
+		g.Ins("nop")
 		return nil
 	}
 	if g.isLeaf(n.Kids[0]) {
@@ -525,11 +427,11 @@ func (g *gen) mulCall(n *ir.Node) error {
 		if err != nil {
 			return err
 		}
-		g.ins("or %s, %%g0, %%o0", r)
-		g.release(r)
+		g.Ins("or %s, %%g0, %%o0", r)
+		g.Release(r)
 	}
 	if g.delayable(n.Kids[1]) {
-		g.ins("call %s", op)
+		g.Ins("call %s", op)
 		return g.loadLeaf(n.Kids[1], "%o1")
 	}
 	if g.isLeaf(n.Kids[1]) {
@@ -541,11 +443,11 @@ func (g *gen) mulCall(n *ir.Node) error {
 		if err != nil {
 			return err
 		}
-		g.ins("or %s, %%g0, %%o1", r)
-		g.release(r)
+		g.Ins("or %s, %%g0, %%o1", r)
+		g.Release(r)
 	}
-	g.ins("call %s", op)
-	g.ins("nop")
+	g.Ins("call %s", op)
+	g.Ins("nop")
 	return nil
 }
 
@@ -554,7 +456,7 @@ func (g *gen) mulCall(n *ir.Node) error {
 // their arguments before the call, leaving a nop in the slot.
 func (g *gen) genCall(n *ir.Node) error {
 	if len(n.Kids) > 3 {
-		return g.errf("call %s: more than 3 arguments", n.Name)
+		return g.Errf("call %s: more than 3 arguments", n.Name)
 	}
 	builtin := n.Name == "printf" || n.Name == "exit"
 	anyDanger := false
@@ -572,22 +474,22 @@ func (g *gen) genCall(n *ir.Node) error {
 			if err != nil {
 				return err
 			}
-			sl, err := g.scratchPush()
+			sl, err := g.ScratchPush()
 			if err != nil {
 				return err
 			}
-			g.ins("st %s, %s", r, sl)
-			g.release(r)
+			g.Ins("st %s, %s", r, sl)
+			g.Release(r)
 			slots[i] = sl
 		}
 		for i, sl := range slots {
-			g.ins("ld %s, %%o%d", sl, i)
+			g.Ins("ld %s, %%o%d", sl, i)
 		}
 		for range slots {
-			g.scratchPop()
+			g.ScratchPop()
 		}
-		g.ins("call %s", n.Name)
-		g.ins("nop")
+		g.Ins("call %s", n.Name)
+		g.Ins("nop")
 		return nil
 	}
 	loadArg := func(i int) error {
@@ -600,8 +502,8 @@ func (g *gen) genCall(n *ir.Node) error {
 		if err != nil {
 			return err
 		}
-		g.ins("or %s, %%g0, %s", r, dst)
-		g.release(r)
+		g.Ins("or %s, %%g0, %s", r, dst)
+		g.Release(r)
 		return nil
 	}
 	nargs := len(n.Kids)
@@ -611,7 +513,7 @@ func (g *gen) genCall(n *ir.Node) error {
 		}
 	}
 	if nargs > 0 && !builtin && g.delayable(n.Kids[nargs-1]) {
-		g.ins("call %s", n.Name)
+		g.Ins("call %s", n.Name)
 		return g.loadLeaf(n.Kids[nargs-1], fmt.Sprintf("%%o%d", nargs-1))
 	}
 	if nargs > 0 {
@@ -619,7 +521,7 @@ func (g *gen) genCall(n *ir.Node) error {
 			return err
 		}
 	}
-	g.ins("call %s", n.Name)
-	g.ins("nop")
+	g.Ins("call %s", n.Name)
+	g.Ins("nop")
 	return nil
 }

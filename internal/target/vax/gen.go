@@ -2,81 +2,31 @@ package vax
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
-	"srcg/internal/asm"
 	"srcg/internal/cc"
 	"srcg/internal/ir"
 )
 
-// compileC lowers mini-C to VAX assembly. The three-operand data ops take
-// their operands straight from memory, so most statements compile to a
-// single instruction reading and writing frame slots. Locals live below
-// fp, parameters above ap; r0 carries return values and canned division
-// sequences; r1..r6 hold intermediate values for nested expressions.
-func compileC(src string) (string, error) {
-	u, err := cc.CompileUnit(src)
-	if err != nil {
-		return "", err
-	}
-	g := &gen{unit: u}
-	for _, f := range u.Funcs {
-		if err := g.genFunc(f); err != nil {
-			return "", err
-		}
-	}
-	for _, gl := range u.Globals {
-		g.raw("\t.comm " + gl.Name + ", 4")
-	}
-	for _, s := range u.Strings {
-		g.raw(s.Label + ":\t.asciz \"" + asm.EscapeString(s.Value) + "\"")
-	}
-	return g.buf.String(), nil
+// CompileC implements target.Toolchain: it lowers mini-C to VAX assembly.
+// The three-operand data ops take their operands straight from memory,
+// so most statements compile to a single instruction reading and writing
+// frame slots. Locals live below fp, parameters above ap; r0 carries
+// return values and canned division sequences; r1..r6 hold intermediate
+// values for nested expressions.
+func (t *Toolchain) CompileC(src string) (string, error) {
+	g := &gen{cc.Backend{Arch: "vax", Pool: pool, Frame: fpSlot, MaxParams: 3}}
+	return g.Compile(src, g.genFunc)
 }
 
 // pool is the expression-temporary allocation order; r0 stays out of it
 // because division, modulus, and call results route through it.
 var pool = []string{"r1", "r2", "r3", "r4", "r5", "r6"}
 
-// maxScratch frame slots hold values that must survive a nested call.
-const maxScratch = 4
+type gen struct{ cc.Backend }
 
-type gen struct {
-	buf     strings.Builder
-	unit    *ir.Unit
-	fn      *ir.Func
-	busy    map[string]bool
-	nlocals int
-	frame   int
-	scratch int
-}
-
-func (g *gen) raw(s string)                          { g.buf.WriteString(s + "\n") }
-func (g *gen) ins(f string, a ...interface{})        { g.raw("\t" + fmt.Sprintf(f, a...)) }
-func (g *gen) label(name string)                     { g.raw(name + ":") }
-func (g *gen) errf(f string, a ...interface{}) error { return fmt.Errorf("vax-cc: "+f, a...) }
-
-func (g *gen) alloc() (string, bool) {
-	for _, r := range pool {
-		if !g.busy[r] {
-			g.busy[r] = true
-			return r, true
-		}
-	}
-	return "", false
-}
-
-func (g *gen) release(r string) { delete(g.busy, r) }
-
-func (g *gen) freeCount() int {
-	n := 0
-	for _, r := range pool {
-		if !g.busy[r] {
-			n++
-		}
-	}
-	return n
-}
+// fpSlot renders the frame slot at a displacement from fp.
+func fpSlot(disp int) string { return strconv.Itoa(disp) + "(fp)" }
 
 // slot renders the home of a named value: parameters sit above the
 // argument pointer, locals below the frame pointer.
@@ -84,19 +34,8 @@ func (g *gen) slot(l ir.Local) string {
 	if l.IsParam {
 		return fmt.Sprintf("%d(ap)", 4*(l.Index+1))
 	}
-	return fmt.Sprintf("%d(fp)", -4*(l.Index+1))
+	return fpSlot(-4 * (l.Index + 1))
 }
-
-// scratchPush reserves a spill slot beyond the named locals.
-func (g *gen) scratchPush() (string, error) {
-	if g.scratch >= maxScratch {
-		return "", g.errf("expression too deep: out of spill slots")
-	}
-	g.scratch++
-	return fmt.Sprintf("%d(fp)", -4*(g.nlocals+g.scratch)), nil
-}
-
-func (g *gen) scratchPop() { g.scratch-- }
 
 // opnd is a rendered instruction operand; reg names the pool temporary
 // backing it, if any, so it can be released or spilled.
@@ -107,7 +46,7 @@ type opnd struct {
 
 func (g *gen) releaseOp(o opnd) {
 	if o.reg != "" {
-		g.release(o.reg)
+		g.Release(o.reg)
 	}
 }
 
@@ -117,7 +56,7 @@ func (g *gen) isLeaf(n *ir.Node) bool {
 	case ir.Const:
 		return true
 	case ir.Addr:
-		if _, isLocal := g.fn.LookupLocal(n.Name); isLocal {
+		if _, isLocal := g.Fn.LookupLocal(n.Name); isLocal {
 			return false // needs a moval into a register
 		}
 		return true
@@ -136,12 +75,12 @@ func (g *gen) leafOperand(n *ir.Node) (string, error) {
 		return "$" + n.Name, nil
 	case ir.Load:
 		name := n.Kids[0].Name
-		if l, isLocal := g.fn.LookupLocal(name); isLocal {
+		if l, isLocal := g.Fn.LookupLocal(name); isLocal {
 			return g.slot(l), nil
 		}
 		return name, nil
 	}
-	return "", g.errf("not a leaf: %s", n)
+	return "", g.Errf("not a leaf: %s", n)
 }
 
 // operand renders n as an instruction operand, evaluating it into a pool
@@ -151,9 +90,9 @@ func (g *gen) operand(n *ir.Node) (opnd, error) {
 		text, err := g.leafOperand(n)
 		return opnd{text: text}, err
 	}
-	t, ok := g.alloc()
+	t, ok := g.Alloc()
 	if !ok {
-		return opnd{}, g.errf("register pool exhausted")
+		return opnd{}, g.Errf("register pool exhausted")
 	}
 	if err := g.genInto(n, t); err != nil {
 		return opnd{}, err
@@ -162,64 +101,37 @@ func (g *gen) operand(n *ir.Node) (opnd, error) {
 }
 
 func (g *gen) genFunc(f *ir.Func) error {
-	g.fn = f
-	g.busy = map[string]bool{}
-	g.scratch = 0
-	g.nlocals = 0
-	nparams := 0
-	for _, l := range f.Locals {
-		if l.IsParam {
-			nparams++
-		} else {
-			g.nlocals++
-		}
-	}
-	if nparams > 3 {
-		return g.errf("%s: more than 3 parameters", f.Name)
-	}
-	g.frame = 4*g.nlocals + 4*maxScratch
-	g.raw("\t.globl " + f.Name)
-	g.label(f.Name)
-	g.ins("pushl fp")
-	g.ins("movl sp, fp")
-	g.ins("subl2 $%d, sp", g.frame)
+	g.Slots = g.Locals
+	frame := 4*g.Slots + 4*cc.MaxScratch
+	g.Raw("\t.globl " + f.Name)
+	g.Label(f.Name)
+	g.Ins("pushl fp")
+	g.Ins("movl sp, fp")
+	g.Ins("subl2 $%d, sp", frame)
 	for _, st := range f.Body {
 		if err := g.genStmt(st); err != nil {
 			return err
 		}
 	}
-	if !endsFlow(f.Body) {
+	if !cc.EndsFlow(f.Body) {
 		g.epilogue()
 	}
 	return nil
 }
 
-// endsFlow reports whether the function body already ends in a return or a
-// call to exit, making a trailing epilogue dead code.
-func endsFlow(body []*ir.Stmt) bool {
-	if len(body) == 0 {
-		return false
-	}
-	last := body[len(body)-1]
-	if last.Kind == ir.SRet {
-		return true
-	}
-	return last.Kind == ir.SExpr && last.Val != nil && last.Val.Op == ir.Call && last.Val.Name == "exit"
-}
-
 func (g *gen) epilogue() {
-	g.ins("movl fp, sp")
-	g.ins("movl (sp), fp")
-	g.ins("addl2 $4, sp")
-	g.ins("ret")
+	g.Ins("movl fp, sp")
+	g.Ins("movl (sp), fp")
+	g.Ins("addl2 $4, sp")
+	g.Ins("ret")
 }
 
 func (g *gen) genStmt(st *ir.Stmt) error {
 	switch st.Kind {
 	case ir.SLabel:
-		g.label(st.Target)
+		g.Label(st.Target)
 	case ir.SGoto:
-		g.ins("jbr %s", st.Target)
+		g.Ins("jbr %s", st.Target)
 	case ir.SBranch:
 		return g.genBranch(st)
 	case ir.SStore:
@@ -251,27 +163,27 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 		return err
 	}
 	if st.B.Op == ir.Const && st.B.Value == 0 {
-		g.ins("tstl %s", a.text)
+		g.Ins("tstl %s", a.text)
 	} else {
 		if st.B.ContainsCall() && a.reg != "" {
-			sl, err := g.scratchPush()
+			sl, err := g.ScratchPush()
 			if err != nil {
 				return err
 			}
-			g.ins("movl %s, %s", a.text, sl)
-			g.release(a.reg)
+			g.Ins("movl %s, %s", a.text, sl)
+			g.Release(a.reg)
 			a = opnd{text: sl}
-			defer g.scratchPop()
+			defer g.ScratchPop()
 		}
 		b, err := g.operand(st.B)
 		if err != nil {
 			return err
 		}
-		g.ins("cmpl %s, %s", a.text, b.text)
+		g.Ins("cmpl %s, %s", a.text, b.text)
 		g.releaseOp(b)
 	}
 	g.releaseOp(a)
-	g.ins("%s %s", branchOps[st.Rel], st.Target)
+	g.Ins("%s %s", branchOps[st.Rel], st.Target)
 	return nil
 }
 
@@ -279,20 +191,20 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 // assignments become a single memory-to-memory instruction.
 func (g *gen) genStore(addr, val *ir.Node) error {
 	if addr.Op == ir.Addr {
-		if l, isLocal := g.fn.LookupLocal(addr.Name); isLocal {
+		if l, isLocal := g.Fn.LookupLocal(addr.Name); isLocal {
 			return g.genInto(val, g.slot(l))
 		}
 		return g.genInto(val, addr.Name)
 	}
-	t, ok := g.alloc()
+	t, ok := g.Alloc()
 	if !ok {
-		return g.errf("register pool exhausted")
+		return g.Errf("register pool exhausted")
 	}
 	// A callee clobbers every pool register, so when the value contains a
 	// call it must be computed into the frame before the address register
 	// is live.
 	if val.ContainsCall() {
-		sl, err := g.scratchPush()
+		sl, err := g.ScratchPush()
 		if err != nil {
 			return err
 		}
@@ -302,16 +214,16 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 		if err := g.genInto(addr, t); err != nil {
 			return err
 		}
-		g.ins("movl %s, (%s)", sl, t)
-		g.scratchPop()
-		g.release(t)
+		g.Ins("movl %s, (%s)", sl, t)
+		g.ScratchPop()
+		g.Release(t)
 		return nil
 	}
 	if err := g.genInto(addr, t); err != nil {
 		return err
 	}
 	err := g.genInto(val, "("+t+")")
-	g.release(t)
+	g.Release(t)
 	return err
 }
 
@@ -324,13 +236,13 @@ func (g *gen) operands(n *ir.Node) (opnd, opnd, bool, error) {
 		return opnd{}, opnd{}, false, err
 	}
 	spilled := false
-	if l.reg != "" && (n.Kids[1].ContainsCall() || g.freeCount() < 2) {
-		sl, err := g.scratchPush()
+	if l.reg != "" && (n.Kids[1].ContainsCall() || g.FreeCount() < 2) {
+		sl, err := g.ScratchPush()
 		if err != nil {
 			return opnd{}, opnd{}, false, err
 		}
-		g.ins("movl %s, %s", l.text, sl)
-		g.release(l.reg)
+		g.Ins("movl %s, %s", l.text, sl)
+		g.Release(l.reg)
 		l = opnd{text: sl}
 		spilled = true
 	}
@@ -356,22 +268,22 @@ func (g *gen) genInto(n *ir.Node, dst string) error {
 		if err != nil {
 			return err
 		}
-		g.ins("movl %s, %s", src, dst)
+		g.Ins("movl %s, %s", src, dst)
 		return nil
 	case n.Op == ir.Addr: // &local
-		l, _ := g.fn.LookupLocal(n.Name)
-		g.ins("moval %s, %s", g.slot(l), dst)
+		l, _ := g.Fn.LookupLocal(n.Name)
+		g.Ins("moval %s, %s", g.slot(l), dst)
 		return nil
 	case n.Op == ir.Load: // *p as an rvalue
-		t, ok := g.alloc()
+		t, ok := g.Alloc()
 		if !ok {
-			return g.errf("register pool exhausted")
+			return g.Errf("register pool exhausted")
 		}
 		if err := g.genInto(n.Kids[0], t); err != nil {
 			return err
 		}
-		g.ins("movl (%s), %s", t, dst)
-		g.release(t)
+		g.Ins("movl (%s), %s", t, dst)
+		g.Release(t)
 		return nil
 	case n.Op == ir.Neg || n.Op == ir.Not:
 		src, err := g.operand(n.Kids[0])
@@ -385,10 +297,10 @@ func (g *gen) genInto(n *ir.Node, dst string) error {
 		// Unary results form in r0 and move to a memory destination in a
 		// second step (the canned and/shr sequences share this shape).
 		if registers[dst] {
-			g.ins("%s %s, %s", op, src.text, dst)
+			g.Ins("%s %s, %s", op, src.text, dst)
 		} else {
-			g.ins("%s %s, r0", op, src.text)
-			g.ins("movl r0, %s", dst)
+			g.Ins("%s %s, r0", op, src.text)
+			g.Ins("movl r0, %s", dst)
 		}
 		g.releaseOp(src)
 		return nil
@@ -397,13 +309,13 @@ func (g *gen) genInto(n *ir.Node, dst string) error {
 			return err
 		}
 		if dst != "r0" {
-			g.ins("movl r0, %s", dst)
+			g.Ins("movl r0, %s", dst)
 		}
 		return nil
 	case n.Op.IsBinary():
 		return g.binary(n, dst)
 	}
-	return g.errf("cannot evaluate %s", n)
+	return g.Errf("cannot evaluate %s", n)
 }
 
 // binary emits a three-operand instruction (or a canned r0 sequence for
@@ -415,53 +327,53 @@ func (g *gen) binary(n *ir.Node, dst string) error {
 	}
 	switch n.Op {
 	case ir.Add, ir.Mul, ir.Or, ir.Xor:
-		g.ins("%s %s, %s, %s", threeOp[n.Op], l.text, r.text, dst)
+		g.Ins("%s %s, %s, %s", threeOp[n.Op], l.text, r.text, dst)
 	case ir.Sub:
-		g.ins("subl3 %s, %s, %s", r.text, l.text, dst)
+		g.Ins("subl3 %s, %s, %s", r.text, l.text, dst)
 	case ir.Div:
-		g.ins("divl3 %s, %s, r0", r.text, l.text)
+		g.Ins("divl3 %s, %s, r0", r.text, l.text)
 		if dst != "r0" {
-			g.ins("movl r0, %s", dst)
+			g.Ins("movl r0, %s", dst)
 		}
 	case ir.Mod:
-		g.ins("divl3 %s, %s, r0", r.text, l.text)
-		g.ins("mull3 r0, %s, r0", r.text)
-		g.ins("subl3 r0, %s, %s", l.text, dst)
+		g.Ins("divl3 %s, %s, r0", r.text, l.text)
+		g.Ins("mull3 r0, %s, r0", r.text)
+		g.Ins("subl3 r0, %s, %s", l.text, dst)
 	case ir.And:
-		g.ins("mcoml %s, r0", r.text)
-		g.ins("bicl3 r0, %s, %s", l.text, dst)
+		g.Ins("mcoml %s, r0", r.text)
+		g.Ins("bicl3 r0, %s, %s", l.text, dst)
 	case ir.Shl:
-		g.ins("ashl %s, %s, %s", r.text, l.text, dst)
+		g.Ins("ashl %s, %s, %s", r.text, l.text, dst)
 	case ir.Shr:
 		if n.Kids[1].Op == ir.Const {
-			g.ins("ashl $%d, %s, %s", -n.Kids[1].Value, l.text, dst)
+			g.Ins("ashl $%d, %s, %s", -n.Kids[1].Value, l.text, dst)
 		} else {
 			// Variable right shift: the value rides in a pool register
 			// while r0 carries the negated count.
 			src := l.text
 			temp := ""
 			if !registers[src] {
-				reg, ok := g.alloc()
+				reg, ok := g.Alloc()
 				if !ok {
-					return g.errf("register pool exhausted")
+					return g.Errf("register pool exhausted")
 				}
 				temp = reg
-				g.ins("movl %s, %s", src, temp)
+				g.Ins("movl %s, %s", src, temp)
 				src = temp
 			}
-			g.ins("mnegl %s, r0", r.text)
-			g.ins("ashl r0, %s, %s", src, dst)
+			g.Ins("mnegl %s, r0", r.text)
+			g.Ins("ashl r0, %s, %s", src, dst)
 			if temp != "" {
-				g.release(temp)
+				g.Release(temp)
 			}
 		}
 	default:
-		return g.errf("no opcode for %s", n.Op)
+		return g.Errf("no opcode for %s", n.Op)
 	}
 	g.releaseOp(l)
 	g.releaseOp(r)
 	if spilled {
-		g.scratchPop()
+		g.ScratchPop()
 	}
 	return nil
 }
@@ -471,7 +383,7 @@ func (g *gen) binary(n *ir.Node, dst string) error {
 // the callee works strictly below sp, so already-pushed arguments keep.
 func (g *gen) genCall(n *ir.Node) error {
 	if len(n.Kids) > 3 {
-		return g.errf("call %s: more than 3 arguments", n.Name)
+		return g.Errf("call %s: more than 3 arguments", n.Name)
 	}
 	for i := len(n.Kids) - 1; i >= 0; i-- {
 		k := n.Kids[i]
@@ -483,31 +395,31 @@ func (g *gen) genCall(n *ir.Node) error {
 			// A global read renders as a bare symbol, which pushl
 			// cannot encode; stage it through a register.
 			if k.Op == ir.Load && text == k.Kids[0].Name {
-				t, ok := g.alloc()
+				t, ok := g.Alloc()
 				if !ok {
-					return g.errf("register pool exhausted")
+					return g.Errf("register pool exhausted")
 				}
-				g.ins("movl %s, %s", text, t)
-				g.ins("pushl %s", t)
-				g.release(t)
+				g.Ins("movl %s, %s", text, t)
+				g.Ins("pushl %s", t)
+				g.Release(t)
 			} else {
-				g.ins("pushl %s", text)
+				g.Ins("pushl %s", text)
 			}
 			continue
 		}
-		t, ok := g.alloc()
+		t, ok := g.Alloc()
 		if !ok {
-			return g.errf("register pool exhausted")
+			return g.Errf("register pool exhausted")
 		}
 		if err := g.genInto(k, t); err != nil {
 			return err
 		}
-		g.ins("pushl %s", t)
-		g.release(t)
+		g.Ins("pushl %s", t)
+		g.Release(t)
 	}
-	g.ins("calls $%d, %s", len(n.Kids), n.Name)
+	g.Ins("calls $%d, %s", len(n.Kids), n.Name)
 	if n.Name != "exit" && len(n.Kids) > 0 {
-		g.ins("addl2 $%d, sp", 4*len(n.Kids))
+		g.Ins("addl2 $%d, sp", 4*len(n.Kids))
 	}
 	return nil
 }

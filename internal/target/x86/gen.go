@@ -4,76 +4,25 @@ import (
 	"fmt"
 	"strings"
 
-	"srcg/internal/asm"
 	"srcg/internal/cc"
 	"srcg/internal/ir"
 )
 
-// compileC lowers mini-C to AT&T-style i386 assembly. Locals live at
-// -4(%ebp), -8(%ebp), ... below the frame pointer; parameters at 8(%ebp),
-// 12(%ebp), ... above it. Expressions are evaluated into a small register
-// pool, with %eax reserved for division, call staging, and return values.
-func compileC(src string) (string, error) {
-	u, err := cc.CompileUnit(src)
-	if err != nil {
-		return "", err
-	}
-	g := &gen{unit: u}
-	for _, f := range u.Funcs {
-		if err := g.genFunc(f); err != nil {
-			return "", err
-		}
-	}
-	for _, gl := range u.Globals {
-		g.raw("\t.comm " + gl.Name + ", 4")
-	}
-	for _, s := range u.Strings {
-		g.raw(s.Label + ":\t.asciz \"" + asm.EscapeString(s.Value) + "\"")
-	}
-	return g.buf.String(), nil
+// CompileC implements target.Toolchain: it lowers mini-C to AT&T-style
+// i386 assembly. Locals live at -4(%ebp), -8(%ebp), ... below the frame
+// pointer; parameters at 8(%ebp), 12(%ebp), ... above it. Expressions are
+// evaluated into a small register pool, with %eax reserved for division,
+// call staging, and return values.
+func (t *Toolchain) CompileC(src string) (string, error) {
+	g := &gen{cc.Backend{Arch: "x86", Pool: pool}}
+	return g.Compile(src, g.genFunc)
 }
 
 // pool is the expression-temporary allocation order. %eax stays out: it is
 // the implicit division/return register.
 var pool = []string{"%edx", "%ecx", "%ebx", "%esi", "%edi"}
 
-type gen struct {
-	buf  strings.Builder
-	unit *ir.Unit
-	fn   *ir.Func
-	busy map[string]bool
-}
-
-func (g *gen) raw(s string)                          { g.buf.WriteString(s + "\n") }
-func (g *gen) ins(f string, a ...interface{})        { g.raw("\t" + fmt.Sprintf(f, a...)) }
-func (g *gen) label(name string)                     { g.raw(name + ":") }
-func (g *gen) errf(f string, a ...interface{}) error { return fmt.Errorf("x86-cc: "+f, a...) }
-
-func (g *gen) alloc(avoid ...string) (string, bool) {
-	skip := map[string]bool{}
-	for _, r := range avoid {
-		skip[r] = true
-	}
-	for _, r := range pool {
-		if !g.busy[r] && !skip[r] {
-			g.busy[r] = true
-			return r, true
-		}
-	}
-	return "", false
-}
-
-func (g *gen) release(r string) { delete(g.busy, r) }
-
-func (g *gen) freeCount() int {
-	n := 0
-	for _, r := range pool {
-		if !g.busy[r] {
-			n++
-		}
-	}
-	return n
-}
+type gen struct{ cc.Backend }
 
 // slot returns the memory operand for a named local or parameter.
 func (g *gen) slot(l ir.Local) string {
@@ -86,7 +35,7 @@ func (g *gen) slot(l ir.Local) string {
 // memOperand renders the operand for a named location: a frame slot for
 // locals, the bare symbol for globals.
 func (g *gen) memOperand(name string) string {
-	if l, ok := g.fn.LookupLocal(name); ok {
+	if l, ok := g.Fn.LookupLocal(name); ok {
 		return g.slot(l)
 	}
 	return name
@@ -100,79 +49,48 @@ func (g *gen) leaf(n *ir.Node) (string, bool) {
 		return fmt.Sprintf("$%d", n.Value), true
 	case ir.Load:
 		if n.Kids[0].Op == ir.Addr {
-			if _, isLocal := g.fn.LookupLocal(n.Kids[0].Name); isLocal || g.isData(n.Kids[0].Name) {
+			if _, isLocal := g.Fn.LookupLocal(n.Kids[0].Name); isLocal || g.IsData(n.Kids[0].Name) {
 				return g.memOperand(n.Kids[0].Name), true
 			}
 		}
 	case ir.Addr:
-		if _, isLocal := g.fn.LookupLocal(n.Name); !isLocal {
+		if _, isLocal := g.Fn.LookupLocal(n.Name); !isLocal {
 			return "$" + n.Name, true
 		}
 	}
 	return "", false
 }
 
-// isData reports whether name is a data symbol (global or extern variable)
-// rather than a function.
-func (g *gen) isData(name string) bool {
-	for _, f := range g.unit.Funcs {
-		if f.Name == name {
-			return false
-		}
-	}
-	return true
-}
-
 func (g *gen) genFunc(f *ir.Func) error {
-	g.fn = f
-	g.busy = map[string]bool{}
-	frame := 0
-	for _, l := range f.Locals {
-		if !l.IsParam {
-			frame += 4
-		}
-	}
-	g.raw("\t.globl " + f.Name)
-	g.label(f.Name)
-	g.ins("pushl %%ebp")
-	g.ins("movl %%esp, %%ebp")
-	g.ins("subl $%d, %%esp", frame)
+	frame := 4 * g.Locals
+	g.Raw("\t.globl " + f.Name)
+	g.Label(f.Name)
+	g.Ins("pushl %%ebp")
+	g.Ins("movl %%esp, %%ebp")
+	g.Ins("subl $%d, %%esp", frame)
 	for _, st := range f.Body {
 		if err := g.genStmt(st); err != nil {
 			return err
 		}
 	}
-	if !endsFlow(f.Body) {
+	if !cc.EndsFlow(f.Body) {
 		g.epilogue()
 	}
 	return nil
 }
 
-// endsFlow reports whether the function body already ends in a return or a
-// call to exit, making a trailing epilogue dead code.
-func endsFlow(body []*ir.Stmt) bool {
-	if len(body) == 0 {
-		return false
-	}
-	last := body[len(body)-1]
-	if last.Kind == ir.SRet {
-		return true
-	}
-	return last.Kind == ir.SExpr && last.Val != nil && last.Val.Op == ir.Call && last.Val.Name == "exit"
-}
-
 func (g *gen) epilogue() {
-	g.ins("movl %%ebp, %%esp")
-	g.ins("popl %%ebp")
-	g.ins("ret")
+	g.Ins("movl %%ebp, %%esp")
+	g.Ins("popl %%ebp")
+	g.Ins("ret")
 }
 
 func (g *gen) genStmt(st *ir.Stmt) error {
 	switch st.Kind {
 	case ir.SLabel:
-		g.label(st.Target)
+		g.Label(st.Target)
 	case ir.SGoto:
-		g.ins("jmp %s", st.Target)
+		g.Ins("jmp %s", st.Target)
 	case ir.SBranch:
 		return g.genBranch(st)
 	case ir.SStore:
@@ -184,14 +102,14 @@ func (g *gen) genStmt(st *ir.Stmt) error {
 	case ir.SRet:
 		if st.Val != nil {
 			if op, ok := g.leaf(st.Val); ok {
-				g.ins("movl %s, %%eax", op)
+				g.Ins("movl %s, %%eax", op)
 			} else {
 				r, err := g.evalReg(st.Val)
 				if err != nil {
 					return err
 				}
-				g.ins("movl %s, %%eax", r)
-				g.release(r)
+				g.Ins("movl %s, %%eax", r)
+				g.Release(r)
 			}
 		}
 		g.epilogue()
@@ -209,17 +127,17 @@ func (g *gen) genBranch(st *ir.Stmt) error {
 		return err
 	}
 	if op, ok := g.leaf(st.B); ok {
-		g.ins("cmpl %s, %s", op, rA)
+		g.Ins("cmpl %s, %s", op, rA)
 	} else {
 		rB, err := g.evalReg(st.B)
 		if err != nil {
 			return err
 		}
-		g.ins("cmpl %s, %s", rB, rA)
-		g.release(rB)
+		g.Ins("cmpl %s, %s", rB, rA)
+		g.Release(rB)
 	}
-	g.release(rA)
-	g.ins("%s %s", branchOps[st.Rel], st.Target)
+	g.Release(rA)
+	g.Ins("%s %s", branchOps[st.Rel], st.Target)
 	return nil
 }
 
@@ -239,36 +157,36 @@ func (g *gen) genStore(addr, val *ir.Node) error {
 	}
 	defer func() {
 		if dstReg != "" {
-			g.release(dstReg)
+			g.Release(dstReg)
 		}
 	}()
 	switch {
 	case val.Op == ir.Const:
-		g.ins("movl $%d, %s", val.Value, dst)
+		g.Ins("movl $%d, %s", val.Value, dst)
 	case (val.Op == ir.Div || val.Op == ir.Mod) && dstReg == "":
 		return g.genDiv(val, dst)
 	case val.Op == ir.Call:
 		if err := g.genCall(val); err != nil {
 			return err
 		}
-		g.ins("movl %%eax, %s", dst)
+		g.Ins("movl %%eax, %s", dst)
 	default:
 		if op, ok := g.leaf(val); ok {
-			r, okr := g.alloc()
+			r, okr := g.Alloc()
 			if !okr {
-				return g.errf("register pool exhausted")
+				return g.Errf("register pool exhausted")
 			}
-			g.ins("movl %s, %s", op, r)
-			g.ins("movl %s, %s", r, dst)
-			g.release(r)
+			g.Ins("movl %s, %s", op, r)
+			g.Ins("movl %s, %s", r, dst)
+			g.Release(r)
 			return nil
 		}
 		r, err := g.evalReg(val)
 		if err != nil {
 			return err
 		}
-		g.ins("movl %s, %s", r, dst)
-		g.release(r)
+		g.Ins("movl %s, %s", r, dst)
+		g.Release(r)
 	}
 	return nil
 }
@@ -284,24 +202,24 @@ func (g *gen) genDiv(n *ir.Node, dst string) error {
 	// remainder is already in one); %eax stays free for the next
 	// statement's division protocol.
 	if n.Op == ir.Div {
-		r, ok := g.alloc()
+		r, ok := g.Alloc()
 		if !ok {
-			return g.errf("register pool exhausted")
+			return g.Errf("register pool exhausted")
 		}
-		g.ins("movl %s, %s", res, r)
+		g.Ins("movl %s, %s", res, r)
 		res = r
-		defer g.release(r)
+		defer g.Release(r)
 	}
-	g.ins("movl %s, %s", res, dst)
+	g.Ins("movl %s, %s", res, dst)
 	return nil
 }
 
 // divide runs the division protocol and returns "%eax" (Div) or "%edx"
 // (Mod) holding the result; the caller must consume it immediately.
 func (g *gen) divide(n *ir.Node) (string, error) {
-	spill := g.busy["%edx"]
+	spill := g.Busy("%edx")
 	if spill {
-		g.ins("pushl %%edx")
+		g.Ins("pushl %%edx")
 	}
 	divisor := ""
 	divReg := ""
@@ -316,19 +234,19 @@ func (g *gen) divide(n *ir.Node) (string, error) {
 		divisor = r
 	}
 	if op, ok := g.leaf(n.Kids[0]); ok {
-		g.ins("movl %s, %%eax", op)
+		g.Ins("movl %s, %%eax", op)
 	} else {
 		r, err := g.evalRegAvoid(n.Kids[0], "%edx")
 		if err != nil {
 			return "", err
 		}
-		g.ins("movl %s, %%eax", r)
-		g.release(r)
+		g.Ins("movl %s, %%eax", r)
+		g.Release(r)
 	}
-	g.ins("cltd")
-	g.ins("idivl %s", divisor)
+	g.Ins("cltd")
+	g.Ins("idivl %s", divisor)
 	if divReg != "" {
-		g.release(divReg)
+		g.Release(divReg)
 	}
 	res := "%eax"
 	if n.Op == ir.Mod {
@@ -336,7 +254,7 @@ func (g *gen) divide(n *ir.Node) (string, error) {
 	}
 	if spill {
 		// Park the result out of %edx before restoring it.
-		return res, g.errf("internal: division with live %%edx must go through evalReg")
+		return res, g.Errf("internal: division with live %%edx must go through evalReg")
 	}
 	return res, nil
 }
@@ -353,29 +271,29 @@ func (g *gen) evalRegAvoid(n *ir.Node, avoid ...string) (string, error) {
 	switch {
 	case n.Op == ir.Const, n.Op == ir.Load && n.Kids[0].Op == ir.Addr, n.Op == ir.Addr:
 		if op, ok := g.leaf(n); ok {
-			r, okr := g.alloc(avoid...)
+			r, okr := g.Alloc(avoid...)
 			if !okr {
-				return "", g.errf("register pool exhausted")
+				return "", g.Errf("register pool exhausted")
 			}
-			g.ins("movl %s, %s", op, r)
+			g.Ins("movl %s, %s", op, r)
 			return r, nil
 		}
 		if n.Op == ir.Addr { // address of a local
-			l, _ := g.fn.LookupLocal(n.Name)
-			r, okr := g.alloc(avoid...)
+			l, _ := g.Fn.LookupLocal(n.Name)
+			r, okr := g.Alloc(avoid...)
 			if !okr {
-				return "", g.errf("register pool exhausted")
+				return "", g.Errf("register pool exhausted")
 			}
-			g.ins("leal %s, %s", g.slot(l), r)
+			g.Ins("leal %s, %s", g.slot(l), r)
 			return r, nil
 		}
-		return "", g.errf("unsupported leaf %s", n)
+		return "", g.Errf("unsupported leaf %s", n)
 	case n.Op == ir.Load: // *p as an rvalue
 		r, err := g.evalRegAvoid(n.Kids[0], avoid...)
 		if err != nil {
 			return "", err
 		}
-		g.ins("movl (%s), %s", r, r)
+		g.Ins("movl (%s), %s", r, r)
 		return r, nil
 	case n.Op == ir.Neg || n.Op == ir.Not:
 		r, err := g.evalRegAvoid(n.Kids[0], avoid...)
@@ -383,9 +301,9 @@ func (g *gen) evalRegAvoid(n *ir.Node, avoid ...string) (string, error) {
 			return "", err
 		}
 		if n.Op == ir.Neg {
-			g.ins("negl %s", r)
+			g.Ins("negl %s", r)
 		} else {
-			g.ins("notl %s", r)
+			g.Ins("notl %s", r)
 		}
 		return r, nil
 	case n.Op == ir.Div || n.Op == ir.Mod:
@@ -396,16 +314,16 @@ func (g *gen) evalRegAvoid(n *ir.Node, avoid ...string) (string, error) {
 		if err := g.genCall(n); err != nil {
 			return "", err
 		}
-		r, okr := g.alloc(avoid...)
+		r, okr := g.Alloc(avoid...)
 		if !okr {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("movl %%eax, %s", r)
+		g.Ins("movl %%eax, %s", r)
 		return r, nil
 	case n.Op.IsBinary():
 		return g.binary(n, avoid...)
 	}
-	return "", g.errf("cannot evaluate %s", n)
+	return "", g.Errf("cannot evaluate %s", n)
 }
 
 func (g *gen) binary(n *ir.Node, avoid ...string) (string, error) {
@@ -415,57 +333,57 @@ func (g *gen) binary(n *ir.Node, avoid ...string) (string, error) {
 		return "", err
 	}
 	if rop, ok := g.leaf(n.Kids[1]); ok {
-		g.ins("%s %s, %s", op, rop, l)
+		g.Ins("%s %s, %s", op, rop, l)
 		return l, nil
 	}
-	if n.Kids[1].ContainsCall() || g.freeCount() == 0 {
+	if n.Kids[1].ContainsCall() || g.FreeCount() == 0 {
 		// Spill the left value across the right-hand evaluation: a call
 		// (or an exhausted pool) would clobber it.
-		g.ins("pushl %s", l)
-		g.release(l)
+		g.Ins("pushl %s", l)
+		g.Release(l)
 		r, err := g.evalRegAvoid(n.Kids[1], avoid...)
 		if err != nil {
 			return "", err
 		}
-		l2, okr := g.alloc(avoid...)
+		l2, okr := g.Alloc(avoid...)
 		if !okr {
-			return "", g.errf("register pool exhausted")
+			return "", g.Errf("register pool exhausted")
 		}
-		g.ins("popl %s", l2)
-		g.ins("%s %s, %s", op, r, l2)
-		g.release(r)
+		g.Ins("popl %s", l2)
+		g.Ins("%s %s, %s", op, r, l2)
+		g.Release(r)
 		return l2, nil
 	}
 	r, err := g.evalRegAvoid(n.Kids[1], avoid...)
 	if err != nil {
 		return "", err
 	}
-	g.ins("%s %s, %s", op, r, l)
-	g.release(r)
+	g.Ins("%s %s, %s", op, r, l)
+	g.Release(r)
 	return l, nil
 }
 
 // divToReg wraps the division protocol for expression contexts, moving the
 // result into a pool register and restoring any spilled %edx.
 func (g *gen) divToReg(n *ir.Node, avoid ...string) (string, error) {
-	spill := g.busy["%edx"]
+	spill := g.Busy("%edx")
 	if spill {
-		g.ins("pushl %%edx")
-		g.release("%edx")
+		g.Ins("pushl %%edx")
+		g.Release("%edx")
 	}
 	res, err := g.divide(n)
 	if err != nil {
 		return "", err
 	}
 	av := append([]string{"%edx"}, avoid...)
-	r, okr := g.alloc(av...)
+	r, okr := g.Alloc(av...)
 	if !okr {
-		return "", g.errf("register pool exhausted")
+		return "", g.Errf("register pool exhausted")
 	}
-	g.ins("movl %s, %s", res, r)
+	g.Ins("movl %s, %s", res, r)
 	if spill {
-		g.ins("popl %%edx")
-		g.busy["%edx"] = true
+		g.Ins("popl %%edx")
+		g.Claim("%edx")
 	}
 	return r, nil
 }
@@ -481,7 +399,7 @@ func (g *gen) shift(n *ir.Node, avoid ...string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		g.ins("%s $%d, %s", op, n.Kids[1].Value, r)
+		g.Ins("%s $%d, %s", op, n.Kids[1].Value, r)
 		return r, nil
 	}
 	av := append([]string{"%ecx"}, avoid...)
@@ -489,27 +407,27 @@ func (g *gen) shift(n *ir.Node, avoid ...string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	spill := g.busy["%ecx"]
+	spill := g.Busy("%ecx")
 	if spill {
-		g.ins("pushl %%ecx")
-		g.release("%ecx")
+		g.Ins("pushl %%ecx")
+		g.Release("%ecx")
 	}
-	g.busy["%ecx"] = true
+	g.Claim("%ecx")
 	if cop, ok := g.leaf(n.Kids[1]); ok {
-		g.ins("movl %s, %%ecx", cop)
+		g.Ins("movl %s, %%ecx", cop)
 	} else {
 		r, err := g.evalRegAvoid(n.Kids[1], av...)
 		if err != nil {
 			return "", err
 		}
-		g.ins("movl %s, %%ecx", r)
-		g.release(r)
+		g.Ins("movl %s, %%ecx", r)
+		g.Release(r)
 	}
-	g.ins("%s %%ecx, %s", op, l)
-	g.release("%ecx")
+	g.Ins("%s %%ecx, %s", op, l)
+	g.Release("%ecx")
 	if spill {
-		g.ins("popl %%ecx")
-		g.busy["%ecx"] = true
+		g.Ins("popl %%ecx")
+		g.Claim("%ecx")
 	}
 	return l, nil
 }
@@ -521,33 +439,33 @@ func (g *gen) genCall(n *ir.Node) error {
 		arg := n.Kids[i]
 		switch {
 		case arg.Op == ir.Const:
-			g.ins("pushl $%d", arg.Value)
+			g.Ins("pushl $%d", arg.Value)
 		case arg.Op == ir.Addr:
-			if l, isLocal := g.fn.LookupLocal(arg.Name); isLocal {
-				g.ins("leal %s, %%eax", g.slot(l))
-				g.ins("pushl %%eax")
+			if l, isLocal := g.Fn.LookupLocal(arg.Name); isLocal {
+				g.Ins("leal %s, %%eax", g.slot(l))
+				g.Ins("pushl %%eax")
 			} else {
-				g.ins("pushl $%s", arg.Name)
+				g.Ins("pushl $%s", arg.Name)
 			}
 		case arg.Op == ir.Load && arg.Kids[0].Op == ir.Addr:
 			op, ok := g.leaf(arg)
 			if !ok {
-				return g.errf("bad argument %s", arg)
+				return g.Errf("bad argument %s", arg)
 			}
-			g.ins("movl %s, %%eax", op)
-			g.ins("pushl %%eax")
+			g.Ins("movl %s, %%eax", op)
+			g.Ins("pushl %%eax")
 		default:
 			r, err := g.evalReg(arg)
 			if err != nil {
 				return err
 			}
-			g.ins("pushl %s", r)
-			g.release(r)
+			g.Ins("pushl %s", r)
+			g.Release(r)
 		}
 	}
-	g.ins("call %s", n.Name)
+	g.Ins("call %s", n.Name)
 	if n.Name != "exit" && len(n.Kids) > 0 {
-		g.ins("addl $%d, %%esp", 4*len(n.Kids))
+		g.Ins("addl $%d, %%esp", 4*len(n.Kids))
 	}
 	return nil
 }
