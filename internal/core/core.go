@@ -597,6 +597,11 @@ func (d *Discovery) Report() string {
 	}
 	fmt.Fprintf(&sb, "cost: %s\n", d.Rig.Stats())
 	fmt.Fprintf(&sb, "probe: %s\n", d.ProbeStats)
+	sb.WriteString("mutants:")
+	for _, an := range mutate.AnalysisNames {
+		fmt.Fprintf(&sb, " %s=%d", an, d.Trace.Counter(mutate.RunsCounter(an)))
+	}
+	sb.WriteString("\n")
 	// Cache occupancy is a view over the unsealed gauges Discover set; a
 	// run without a shared cache never wrote them and prints nothing.
 	if n := d.Trace.Counter(probe.CtrCacheEntries); n > 0 {

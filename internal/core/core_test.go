@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"srcg/internal/mutate"
 	"srcg/internal/sem"
 	"srcg/internal/target"
 	"srcg/internal/target/alpha"
@@ -153,6 +154,14 @@ func TestCostAccounting(t *testing.T) {
 	st := d.Rig.Stats()
 	if st.Compiles == 0 || st.Assemblies == 0 || st.Executions == 0 || st.Mutations == 0 {
 		t.Errorf("implausible stats: %v", st)
+	}
+	// Every mutant run is tallied under exactly one analysis.
+	runs := int64(0)
+	for _, an := range mutate.AnalysisNames {
+		runs += d.Trace.Counter(mutate.RunsCounter(an))
+	}
+	if runs != int64(st.Mutations) {
+		t.Errorf("per-analysis mutant runs sum to %d; want discovery.mutations = %d", runs, st.Mutations)
 	}
 	// The likelihood heuristics must keep the search small (§5.2.2: "often
 	// ... after just one or two tries").

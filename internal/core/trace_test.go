@@ -10,25 +10,39 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"srcg/internal/obs"
 	"srcg/internal/target/vax"
 )
 
-// discoverVaxTrace runs one checked vax discovery with a JSONL trace and
-// returns the raw trace bytes.
-func discoverVaxTrace(t *testing.T) []byte {
+// vaxTrace holds the one checked seed-1 vax discovery, traced to JSONL,
+// that the trace tests and the probe-budget golden share.
+var vaxTrace struct {
+	once sync.Once
+	d    *Discovery
+	raw  []byte
+	err  error
+}
+
+// discoverVaxTrace runs the checked vax discovery with a JSONL trace on
+// first use and returns it with the raw trace bytes.
+func discoverVaxTrace(t *testing.T) (*Discovery, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	tr := obs.New(nil, obs.NewJSONLSink(&buf))
-	if _, err := Discover(vax.New(), Options{Seed: 1, Check: true, Trace: tr}); err != nil {
-		t.Fatalf("vax discovery failed: %v", err)
+	vaxTrace.once.Do(func() {
+		var buf bytes.Buffer
+		tr := obs.New(nil, obs.NewJSONLSink(&buf))
+		d, err := Discover(vax.New(), Options{Seed: 1, Check: true, Trace: tr})
+		if err == nil {
+			err = tr.Flush()
+		}
+		vaxTrace.d, vaxTrace.raw, vaxTrace.err = d, buf.Bytes(), err
+	})
+	if vaxTrace.err != nil {
+		t.Fatalf("vax discovery: %v", vaxTrace.err)
 	}
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("flush trace: %v", err)
-	}
-	return buf.Bytes()
+	return vaxTrace.d, vaxTrace.raw
 }
 
 // TestTraceSchemaValid holds every line of a real end-to-end trace to the
@@ -40,7 +54,7 @@ func TestTraceSchemaValid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full vax discovery")
 	}
-	raw := discoverVaxTrace(t)
+	_, raw := discoverVaxTrace(t)
 	kindsSeen := map[string]int{}
 	for i, line := range bytes.Split(bytes.TrimRight(raw, "\n"), []byte("\n")) {
 		var fields map[string]any
@@ -121,7 +135,8 @@ func TestVaxTraceGolden(t *testing.T) {
 		t.Skip("full vax discovery")
 	}
 	golden := filepath.Join("testdata", "vax_trace_digest.txt")
-	got := traceDigest(discoverVaxTrace(t))
+	_, raw := discoverVaxTrace(t)
+	got := traceDigest(raw)
 	if os.Getenv("SRCG_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)

@@ -106,8 +106,10 @@ func (r *Rig) LinkRun(units ...*asm.Unit) (string, error) {
 }
 
 // LinkRunExpect is LinkRun for a caller comparing the output against want,
-// an exact reference output: on a machine never caught lying, one run
-// printing want settles the execution (probe.Prober.ExecuteExpect).
+// an exact reference output — the ir.Eval output, or a constant the probe
+// planted itself, never an output observed on the machine: on a machine
+// never caught lying, one run printing want settles the execution
+// (probe.Prober.ExecuteExpect).
 func (r *Rig) LinkRunExpect(want string, units ...*asm.Unit) (string, error) {
 	img, err := r.link(units)
 	if err != nil {

@@ -108,6 +108,7 @@ func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r st
 // the slot instruction moves before the transfer and an inert filler takes
 // the slot.
 func (e *Engine) normalizeDelaySlots(a *Analysis) error {
+	defer e.enter(anDelay)()
 	inert, ok := e.inertReg(a.Sample, a.Region)
 	if !ok {
 		return nil // no safe register: skip normalization (nothing detected)
@@ -145,14 +146,21 @@ func (e *Engine) normalizeDelaySlots(a *Analysis) error {
 // clobbering with two different value sets — preserves the output (paper
 // §4.2, Fig. 6).
 func (e *Engine) eliminateRedundant(a *Analysis) {
+	defer e.enter(anRedundant)()
 	s := a.Sample
+	var safe []string
+	stale := true
 	for i := 0; i < len(a.Region); i++ {
 		if a.Filler[i] || a.Slotted[i] || a.Region[i].Op == "" {
 			continue
 		}
 		// Clobber every clobber-safe register with random values so the
-		// deletion cannot succeed by accident (Fig. 6 c/d).
-		safe := e.safeClobberRegs(s, a.Region)
+		// deletion cannot succeed by accident (Fig. 6 c/d). The set
+		// depends on the region alone, so only a deletion makes it stale.
+		if stale {
+			safe = e.safeClobberRegs(s, a.Region)
+			stale = false
+		}
 		allAgree := true
 		for variant := 0; variant < 2; variant++ {
 			mut := Delete(a.Region, i)
@@ -171,6 +179,7 @@ func (e *Engine) eliminateRedundant(a *Analysis) {
 			// Re-index bookkeeping past i.
 			a.Filler = shiftSet(a.Filler, i)
 			a.Slotted = shiftSet(a.Slotted, i)
+			stale = true
 			i--
 		}
 	}
@@ -197,6 +206,7 @@ func shiftSet(set map[int]bool, removed int) map[int]bool {
 // on entry and safe to randomize. Stack and frame pointers exclude
 // themselves naturally.
 func (e *Engine) safeClobberRegs(s *discovery.Sample, region []discovery.Instr) []string {
+	defer e.enter(anSafeSet)()
 	var out []string
 	for _, r := range discovery.Registers(region) {
 		if e.clobberSafe(s, region, r) {
@@ -247,6 +257,7 @@ func (a *Analysis) insertAtGroup(g int, ins discovery.Instr) []discovery.Instr {
 // implicit-argument attributions of §4.4/§4.5 for every register of
 // interest.
 func (e *Engine) scanRegisters(a *Analysis) {
+	defer e.enter(anScan)()
 	s := a.Sample
 	regs := discovery.Registers(a.Region)
 	for _, reg := range regs {
@@ -303,6 +314,7 @@ func allTrue(bs []bool) bool {
 // (re-running the definition after a group breaks iff someone replaced the
 // value since).
 func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
+	defer e.enter(anAttribute)()
 	s := a.Sample
 	n := len(a.Groups)
 	markRead := func(g int) { a.Reads[reg] = appendUnique(a.Reads[reg], g) }
@@ -474,6 +486,7 @@ func appendUnique(xs []int, x int) []int {
 // breaks the program — the paper's hidden-register communication class
 // (MIPS hi/lo, §7.1).
 func (e *Engine) findHiddenChannels(a *Analysis) {
+	defer e.enter(anHidden)()
 	s := a.Sample
 	reads := func(reg string, g int) bool {
 		for _, x := range a.Reads[reg] {
@@ -593,6 +606,7 @@ func (a *Analysis) touches(reg string, g int) bool {
 // the program then prints the same constant under every valuation, writes
 // to the register are discarded and reads yield that constant.
 func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
+	defer e.enter(anHardwired)()
 	out := map[string]int64{}
 	// The data-path register of the move sample: the first plain register
 	// operand (memory-operand base registers do not qualify).
@@ -619,7 +633,7 @@ func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
 		var value int64
 		hard := true
 		for vi := 0; vi < a.Sample.NumValuations(); vi++ {
-			outStr, err := e.run(m, vi, false)
+			outStr, err := e.run(m, vi, "")
 			if err != nil {
 				hard = false
 				break

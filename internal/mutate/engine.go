@@ -29,6 +29,47 @@ type Engine struct {
 
 	initUnits map[string]*asm.Unit
 	baseOK    *discovery.Sample
+	// runs is the RunsCounter of the analysis the engine is running.
+	runs string
+}
+
+// AnalysisNames names the analyses whose mutant runs the engine tallies, in
+// pipeline order: the baseline checks, delay-slot normalization, the
+// Fig. 6 clobber-safe sets, redundant-instruction elimination, the
+// liveness scan, def/read attribution, hidden-channel detection, the
+// output-writer and hardwired-register probes, live-range splitting and
+// def/use classification, and the Synthesizer's probes (OutputOf,
+// PrintsAll). Every run counts one discovery.mutations and one
+// RunsCounter of its analysis, so the tallies sum to the mutation count.
+var AnalysisNames = []string{
+	anBaseline, anDelay, anSafeSet, anRedundant, anScan, anAttribute,
+	anHidden, anMemWriter, anHardwired, anRanges, anSynth,
+}
+
+const (
+	anBaseline  = "baseline"
+	anDelay     = "delay"
+	anSafeSet   = "safeset"
+	anRedundant = "redundant"
+	anScan      = "scan"
+	anAttribute = "attribute"
+	anHidden    = "hidden"
+	anMemWriter = "memwriter"
+	anHardwired = "hardwired"
+	anRanges    = "ranges"
+	anSynth     = "synth"
+)
+
+// RunsCounter names the tracer counter tallying an analysis's mutant runs.
+func RunsCounter(analysis string) string { return "mutate.runs." + analysis }
+
+// enter makes analysis the one the engine's mutant runs are tallied
+// under and returns the function restoring the previous one, for
+// defer e.enter(analysis)().
+func (e *Engine) enter(analysis string) func() {
+	prev := e.runs
+	e.runs = RunsCounter(analysis)
+	return func() { e.runs = prev }
 }
 
 // New creates a mutation engine.
@@ -73,7 +114,7 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 // exact reference, so on a machine never caught lying one run that
 // reproduces it settles the verdict.
 func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, val int) bool {
-	return e.same(e.build(s, region), val, true)
+	return e.same(e.build(s, region), val)
 }
 
 // CheckBaseline fails unless the unmutated sample reproduces its expected
@@ -86,6 +127,7 @@ func (e *Engine) CheckBaseline(s *discovery.Sample, val int) error {
 	if val == 0 && s == e.baseOK {
 		return nil
 	}
+	defer e.enter(anBaseline)()
 	return e.checkBaseline(e.build(s, s.Region), val)
 }
 
@@ -99,6 +141,7 @@ func (e *Engine) checkBaselines(s *discovery.Sample) error {
 	if first == s.NumValuations() {
 		return nil
 	}
+	defer e.enter(anBaseline)()
 	m := e.build(s, s.Region)
 	for val := first; val < s.NumValuations(); val++ {
 		if err := e.checkBaseline(m, val); err != nil {
@@ -109,7 +152,7 @@ func (e *Engine) checkBaselines(s *discovery.Sample) error {
 }
 
 func (e *Engine) checkBaseline(m mutant, val int) error {
-	if !e.same(m, val, false) {
+	if out, err := e.run(m, val, ""); err != nil || out != m.s.Valuation(val).ExpectedOut {
 		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", m.s.Name)
 	}
 	return nil
@@ -124,10 +167,28 @@ func (e *Engine) AssumeBaseline(s *discovery.Sample) {
 }
 
 // OutputOf runs the sample with a replacement region under valuation val
-// and returns the raw stdout (for analyses that compare against something
-// other than the original output, e.g. the Synthesizer's jump probe).
+// under the full output quorum and returns the raw stdout, for the
+// Synthesizer's probes that compare two outputs observed on the machine.
 func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int) (string, error) {
-	return e.run(e.build(s, region), val, false)
+	defer e.enter(anSynth)()
+	return e.run(e.build(s, region), val, "")
+}
+
+// PrintsAll assembles the sample with a replacement region once and
+// reports whether it prints want[val] under each valuation val, stopping
+// at the first that does not. want holds one exact reference per
+// valuation (Rig.LinkRunExpect), such as the output cell's initial value
+// that the Synthesizer's jump probe expects once its branch skips the
+// store.
+func (e *Engine) PrintsAll(s *discovery.Sample, region []discovery.Instr, want []string) bool {
+	defer e.enter(anSynth)()
+	m := e.build(s, region)
+	for val, w := range want {
+		if !e.prints(m, val, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // mutant is a sample rebuilt around a replacement region and assembled
@@ -147,11 +208,14 @@ func (e *Engine) build(s *discovery.Sample, region []discovery.Instr) mutant {
 }
 
 // run links m with valuation val's initializer and executes it, counting
-// one mutation. A rejected mutant counts its mutation and fails. With
-// expect, the run goes through Rig.LinkRunExpect against the valuation's
-// expected output.
-func (e *Engine) run(m mutant, val int, expect bool) (string, error) {
-	e.Rig.Trace().Count(discovery.CtrMutations, 1)
+// one mutation, under the current analysis too. A rejected mutant counts
+// its mutation and fails. A non-empty want is an exact reference output
+// and the run goes through Rig.LinkRunExpect against it; an empty want
+// runs the full output quorum.
+func (e *Engine) run(m mutant, val int, want string) (string, error) {
+	tr := e.Rig.Trace()
+	tr.Count(discovery.CtrMutations, 1)
+	tr.Count(e.runs, 1)
 	if m.err != nil {
 		return "", m.err
 	}
@@ -160,23 +224,29 @@ func (e *Engine) run(m mutant, val int, expect bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if expect {
-		return e.Rig.LinkRunExpect(v.ExpectedOut, m.u, initU)
+	if want != "" {
+		return e.Rig.LinkRunExpect(want, m.u, initU)
 	}
 	return e.Rig.LinkRun(m.u, initU)
 }
 
+// prints reports whether m prints want, an exact reference output, under
+// valuation val.
+func (e *Engine) prints(m mutant, val int, want string) bool {
+	out, err := e.run(m, val, want)
+	return err == nil && out == want
+}
+
 // same reports whether m reproduces valuation val's expected output.
-func (e *Engine) same(m mutant, val int, expect bool) bool {
-	out, err := e.run(m, val, expect)
-	return err == nil && out == m.s.Valuation(val).ExpectedOut
+func (e *Engine) same(m mutant, val int) bool {
+	return e.prints(m, val, m.s.Valuation(val).ExpectedOut)
 }
 
 // sameAll reports whether m reproduces the expected output under every
 // valuation, stopping at the first that differs.
 func (e *Engine) sameAll(m mutant) bool {
 	for val := 0; val < m.s.NumValuations(); val++ {
-		if !e.same(m, val, true) {
+		if !e.same(m, val) {
 			return false
 		}
 	}

@@ -2,6 +2,8 @@ package mutate
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"srcg/internal/asm"
@@ -76,15 +78,22 @@ func TestBaselineRunsFullQuorum(t *testing.T) {
 	checkQuorum(other, 0)
 }
 
-// textCounter counts how often the assembler sees each text.
+// textCounter counts how often the assembler sees each text, and the
+// executions.
 type textCounter struct {
 	target.Toolchain
 	texts map[string]int
+	execs int
 }
 
 func (c *textCounter) Assemble(text string) (*asm.Unit, error) {
 	c.texts[text]++
 	return c.Toolchain.Assemble(text)
+}
+
+func (c *textCounter) Execute(img *asm.Image) (string, error) {
+	c.execs++
+	return c.Toolchain.Execute(img)
 }
 
 // TestOneAssemblyPerMutant: a mutant's text does not depend on the
@@ -127,7 +136,7 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 
 	base := s.Rebuild(s.Region)
 	before := tc.texts[base]
-	analyze(t, e, s)
+	a := analyze(t, e, s)
 	if n := tc.texts[base] - before; n != 1 {
 		t.Errorf("Analyze assembled the unmutated sample %d times; want once for all %d valuations", n, v)
 	}
@@ -145,6 +154,100 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 	if runs := after.QuorumRuns - probes.QuorumRuns; runs != 2*(v-1) || after.ExpectAccepts != probes.ExpectAccepts {
 		t.Errorf("baseline check spent %d quorum runs, %d expect accepts; want %d, none",
 			runs, after.ExpectAccepts-probes.ExpectAccepts, 2*(v-1))
+	}
+
+	// FindMemWriter assembles each (position, constant) probe once for
+	// every valuation it runs under. The probe prints a constant it
+	// planted itself, so on a clean rig a hit settles in one execute and
+	// only a miss runs the 2-run quorum.
+	constA := analyze(t, e, samples["int.const.34117"])
+	tc.texts = map[string]int{}
+	stats, probes, execs := e.Rig.Stats(), e.Rig.ProbeStats(), tc.execs
+	e.FindMemWriter(a, constA.Region, 34117)
+	if a.AWriter < 0 {
+		t.Errorf("no output-cell writer found:\n%s", describe(a.Region))
+	}
+	repeated := 0
+	for _, n := range tc.texts {
+		if n != 1 {
+			repeated++
+		}
+	}
+	if repeated > 0 {
+		t.Errorf("FindMemWriter assembled %d of its %d probes more than once; want each once for all %d valuations",
+			repeated, len(tc.texts), v)
+	}
+	runs := e.Rig.Stats().Executions - stats.Executions
+	hits := e.Rig.ProbeStats().ExpectAccepts - probes.ExpectAccepts
+	if got, want := tc.execs-execs, hits+2*(runs-hits); hits == 0 || got != want {
+		t.Errorf("FindMemWriter's %d runs settled %d hits in one execute and spent %d executes; want hits settled alone, %d executes",
+			runs, hits, got, want)
+	}
+}
+
+// clobberStarts counts the assemblies in texts that clobber one of
+// region's registers at region start and leave the region intact: the
+// probes a clobber-safe set computation on region makes.
+func clobberStarts(e *Engine, s *discovery.Sample, region []discovery.Instr, texts map[string]int) int {
+	const mark = 987654321
+	n := 0
+	for _, r := range discovery.Registers(region) {
+		pre, post, _ := strings.Cut(s.Rebuild(Insert(region, 0, e.ClobberInstr(r, mark))), strconv.Itoa(mark))
+		for text, c := range texts {
+			k, ok := strings.CutPrefix(text, pre)
+			if k, ok = strings.CutSuffix(k, post); ok {
+				if _, err := strconv.ParseInt(k, 10, 64); err == nil {
+					n += c
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestSafeSetOncePerRegionState: the Fig. 6 clobber-safe set depends on
+// the region alone, so redundant-instruction elimination computes it once
+// before its first candidate and again only after a deletion succeeds.
+func TestSafeSetOncePerRegionState(t *testing.T) {
+	tc := &textCounter{Toolchain: x86.New(), texts: map[string]int{}}
+	e, samples := setup(t, tc)
+	s := samples["int.add.b_c"]
+	// One computation's cost in region-start clobber assemblies: the
+	// verdicts are fixed on a clean rig, so every computation on the same
+	// region costs the same.
+	unit := func(region []discovery.Instr) int {
+		tc.texts = map[string]int{}
+		e.safeClobberRegs(s, region)
+		return clobberStarts(e, s, region, tc.texts)
+	}
+	eliminate := func(region []discovery.Instr) *Analysis {
+		tc.texts = map[string]int{}
+		a := &Analysis{Sample: s, Region: region, Filler: map[int]bool{}, Slotted: map[int]bool{}}
+		e.eliminateRedundant(a)
+		return a
+	}
+
+	one := unit(s.Region)
+	if one == 0 {
+		t.Fatalf("%s has no registers to clobber", s.Name)
+	}
+	if a := eliminate(s.CloneRegion()); len(a.Removed) != 0 {
+		t.Fatalf("%s lost %d instructions; the test needs a region without redundancy", s.Name, len(a.Removed))
+	}
+	if got := clobberStarts(e, s, s.Region, tc.texts); got != one {
+		t.Errorf("no deletion: %d region-start clobber assemblies; want %d, one safe-set computation", got, one)
+	}
+
+	// A clobber of a register the region never mentions is redundant:
+	// its deletion is forced, and the safe set is recomputed once after it.
+	padded := Insert(s.Region, 0, e.ClobberInstr("%edi", 5))
+	onePadded := unit(padded)
+	a := eliminate(padded)
+	if len(a.Removed) != 1 || !eq(ops(a.Region), ops(s.Region)) {
+		t.Fatalf("eliminating %v left %v; want the inserted clobber deleted alone", ops(padded), ops(a.Region))
+	}
+	if got, want := clobberStarts(e, s, padded, tc.texts)+clobberStarts(e, s, s.Region, tc.texts), onePadded+one; got != want {
+		t.Errorf("one deletion: %d region-start clobber assemblies; want %d, two safe-set computations", got, want)
 	}
 }
 

@@ -16,6 +16,7 @@ type LiveRange struct {
 // reaches the region start with Valid=false — the signature of a value
 // defined implicitly (e.g. a call result), handed to §4.4.
 func (e *Engine) SplitLiveRanges(a *Analysis, reg string) []LiveRange {
+	defer e.enter(anRanges)()
 	var refs []int
 	for i, ins := range a.Region {
 		if a.Filler[i] {
@@ -88,6 +89,7 @@ func (e *Engine) renameWorks(a *Analysis, reg string, idxs []int) bool {
 // duplicating the defining chain into a fresh register and redirecting the
 // reference to it — behavior is preserved iff the reference is a pure use.
 func (e *Engine) ClassifyRefs(a *Analysis, rng LiveRange) []discovery.RegUse {
+	defer e.enter(anRanges)()
 	out := make([]discovery.RegUse, len(rng.Refs))
 	if len(rng.Refs) == 0 {
 		return out

@@ -445,8 +445,9 @@ func (p *Prober) Execute(img *asm.Image) (string, error) {
 // sample's reference output. While the prober's noisy latch is clear, a
 // first error-free run printing exactly want settles alone; any other
 // first run is the first vote of Execute's quorum, and a latched prober
-// runs that quorum unchanged. want must be an exact reference (the
-// ir.Eval output), never an output observed on the machine.
+// runs that quorum unchanged. want must be an exact reference — the
+// ir.Eval output, or a constant the probe planted itself — never an
+// output observed on the machine.
 func (p *Prober) ExecuteExpect(img *asm.Image, want string) (string, error) {
 	return p.execute(img, entryKey{op: "execute-expect", want: want}, true)
 }

@@ -347,6 +347,13 @@ func (in Input) jumpTemplate() (*Template, error) {
 	if branchIdx < 0 {
 		return nil, fmt.Errorf("synth: no branch in conditional region")
 	}
+	// An unconditional branch skips the store under every valuation, so
+	// the program prints the output cell's initial value: an exact
+	// reference.
+	var want []string
+	for _, v := range s.Valuations() {
+		want = append(want, fmt.Sprintf("%d\n", int32(v.A0)))
+	}
 	for _, c := range cands {
 		region := discovery.CloneInstrs(a.Region)
 		region[branchIdx] = discovery.Instr{
@@ -356,15 +363,7 @@ func (in Input) jumpTemplate() (*Template, error) {
 				Text: target, Kind: discovery.KLabelRef, Sym: target,
 			}},
 		}
-		ok := true
-		for vi, v := range s.Valuations() {
-			out, err := in.Engine.OutputOf(s, region, vi)
-			if err != nil || out != fmt.Sprintf("%d\n", int32(v.A0)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if in.Engine.PrintsAll(s, region, want) {
 			return &Template{Name: "Jump", Lines: []string{"\t" + c.op + " {label}"}, Instrs: 1}, nil
 		}
 	}
