@@ -601,6 +601,10 @@ func (d *Discovery) Report() string {
 	for _, an := range mutate.AnalysisNames {
 		fmt.Fprintf(&sb, " %s=%d", an, d.Trace.Counter(mutate.RunsCounter(an)))
 	}
+	sb.WriteString("\njoint fallbacks:")
+	for _, an := range mutate.GroupedAnalyses {
+		fmt.Fprintf(&sb, " %s=%d", an, d.Trace.Counter(mutate.JointFallbackCounter(an)))
+	}
 	sb.WriteString("\n")
 	// Cache occupancy is a view over the unsealed gauges Discover set; a
 	// run without a shared cache never wrote them and prints nothing.

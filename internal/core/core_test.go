@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -162,6 +163,24 @@ func TestCostAccounting(t *testing.T) {
 	}
 	if runs != int64(st.Mutations) {
 		t.Errorf("per-analysis mutant runs sum to %d; want discovery.mutations = %d", runs, st.Mutations)
+	}
+	// A grouped analysis's joint mutant that breaks is followed by at
+	// least one per-item probe, both tallied under that analysis; Report
+	// prints the fallbacks.
+	var line string
+	for _, l := range strings.Split(d.Report(), "\n") {
+		if strings.HasPrefix(l, "joint fallbacks:") {
+			line = l + " "
+		}
+	}
+	for _, an := range mutate.GroupedAnalyses {
+		fb, runs := d.Trace.Counter(mutate.JointFallbackCounter(an)), d.Trace.Counter(mutate.RunsCounter(an))
+		if fb < 0 || 2*fb > runs {
+			t.Errorf("%s: %d joint fallbacks in %d mutant runs; each costs the joint mutant and a per-item probe", an, fb, runs)
+		}
+		if want := fmt.Sprintf(" %s=%d ", an, fb); !strings.Contains(line, want) {
+			t.Errorf("Report()'s joint fallbacks line %q lacks%q", line, want)
+		}
 	}
 	// The likelihood heuristics must keep the search small (§5.2.2: "often
 	// ... after just one or two tries").

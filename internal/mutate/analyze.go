@@ -2,6 +2,7 @@ package mutate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"srcg/internal/discovery"
@@ -107,19 +108,30 @@ func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r st
 // (paper Fig. 4c). Detected pairs are rewritten into a slot-free shape:
 // the slot instruction moves before the transfer and an inert filler takes
 // the slot.
+//
+// Most samples have no slot, so one mutant first places a filler after
+// every instruction at once; only when it breaks is each position probed
+// alone. Each position's filler value is drawn before any probe, so the
+// random stream does not depend on the verdicts.
 func (e *Engine) normalizeDelaySlots(a *Analysis) error {
 	defer e.enter(anDelay)()
 	inert, ok := e.inertReg(a.Sample, a.Region)
-	if !ok {
-		return nil // no safe register: skip normalization (nothing detected)
+	if !ok || len(a.Region) < 2 {
+		return nil // no safe register, or one instruction: nothing detected
 	}
-	for i := 0; i < len(a.Region)-1; i++ {
-		if a.Filler[i] {
-			continue
-		}
-		k := e.clobberValues(1)[0]
-		fill := e.ClobberInstr(inert, k)
-		if e.SameOutput(a.Sample, Insert(a.Region, i+1, fill)) {
+	fills := make([]placed, len(a.Region)-1)
+	for i := range fills {
+		fills[i] = placed{i + 1, e.ClobberInstr(inert, e.clobberValues(1)[0])}
+	}
+	if e.groupSafe(anDelay, a.Sample, a.Region, fills) {
+		return nil // no insertion is harmful: no meaningful slot
+	}
+	// The instruction at original position j sits at j+parked, past the
+	// fillers already parked in earlier slots.
+	parked := 0
+	for j := 0; j < len(fills); j++ {
+		i, fill := j+parked, fills[j].ins
+		if e.sameWith(a.Sample, a.Region, []placed{{i + 1, fill}}) {
 			continue // insertion after i is harmless: no meaningful slot
 		}
 		// The instruction at i+1 rides in i's delay slot. Move it before
@@ -137,9 +149,45 @@ func (e *Engine) normalizeDelaySlots(a *Analysis) error {
 		a.Region = norm
 		a.Slotted[i+1] = true
 		a.Filler[i+2] = true
-		i += 2
+		parked++
+		j++ // the slot instruction now precedes the transfer
 	}
 	return nil
+}
+
+// placed is an instruction to insert before position at of a region.
+type placed struct {
+	at  int
+	ins discovery.Instr
+}
+
+// sameWith reports whether region, with each instruction of ins inserted
+// before its position, reproduces the sample's output under every
+// valuation. Positions index the unmodified region and ascend; the
+// insertions run in descending order, so none shifts another's position.
+// The mutant is only rendered, so region's instructions are shared.
+func (e *Engine) sameWith(s *discovery.Sample, region []discovery.Instr, ins []placed) bool {
+	mut := make([]discovery.Instr, len(region), len(region)+len(ins))
+	copy(mut, region)
+	for j := len(ins) - 1; j >= 0; j-- {
+		mut = slices.Insert(mut, ins[j].at, ins[j].ins)
+	}
+	return e.SameOutput(s, mut)
+}
+
+// groupSafe group-tests two or more insertions: one mutant places them all
+// and reports whether the output survives, counting a fallback of
+// analysis when it does not, so the caller probes each alone. A single
+// insertion is left to its own probe.
+func (e *Engine) groupSafe(analysis string, s *discovery.Sample, region []discovery.Instr, ins []placed) bool {
+	if len(ins) < 2 {
+		return false
+	}
+	if e.sameWith(s, region, ins) {
+		return true
+	}
+	e.Rig.Trace().Count(JointFallbackCounter(analysis), 1)
+	return false
 }
 
 // eliminateRedundant removes instructions whose deletion — under register
@@ -243,47 +291,77 @@ func (a *Analysis) GroupInstr(g int) *discovery.Instr {
 	return &a.Region[span[0]]
 }
 
+// groupPos is the region index of the boundary before group g
+// (g == len(Groups) is the region's end).
+func (a *Analysis) groupPos(g int) int {
+	if g < len(a.Groups) {
+		return a.Groups[g][0]
+	}
+	return len(a.Region)
+}
+
 // insertAtGroup inserts an instruction at the boundary before group g
 // (g == len(Groups) appends at the end).
 func (a *Analysis) insertAtGroup(g int, ins discovery.Instr) []discovery.Instr {
-	pos := len(a.Region)
-	if g < len(a.Groups) {
-		pos = a.Groups[g][0]
-	}
-	return Insert(a.Region, pos, ins)
+	return Insert(a.Region, a.groupPos(g), ins)
 }
 
 // scanRegisters performs the clobber-scan liveness analysis and the
 // implicit-argument attributions of §4.4/§4.5 for every register of
 // interest.
+//
+// A boundary is dead when clobbering the register there preserves the
+// output under fixedClobber, its negation and a random value of the
+// boundary's own: sign-diverse garbage, since a register consumed only by
+// a comparison may keep the branch direction for same-sign garbage. Each
+// boundary is probed alone with fixedClobber. The boundaries that survive
+// it are almost always dead, so each later value is group-tested: one
+// mutant clobbers all of them at once, and only when it breaks is each
+// probed alone (adaptive group testing, as in delta debugging).
 func (e *Engine) scanRegisters(a *Analysis) {
 	defer e.enter(anScan)()
 	s := a.Sample
-	regs := discovery.Registers(a.Region)
-	for _, reg := range regs {
-		live := make([]bool, len(a.Groups)+1)
-		scannable := true
-		for g := 0; g <= len(a.Groups); g++ {
-			broken := false
-			// Sign-diverse garbage: a register consumed only by a
-			// comparison may keep the branch direction for same-sign
-			// garbage, so positive and negative values are both tried.
-			ks := append([]int64{523441, -523441}, e.clobberValues(1)...)
-			for _, k := range ks {
-				if !e.SameOutput(s, a.insertAtGroup(g, e.ClobberInstr(reg, k))) {
-					broken = true
-					break
-				}
-			}
-			live[g] = broken
+	n := len(a.Groups) + 1
+	// clobbers places a clobber of reg with k(g) at each boundary g of gs.
+	clobbers := func(reg string, gs []int, k func(g int) int64) []placed {
+		ins := make([]placed, len(gs))
+		for j, g := range gs {
+			ins[j] = placed{a.groupPos(g), e.ClobberInstr(reg, k(g))}
 		}
-		// A register that breaks everywhere (stack/frame pointer: even the
-		// entry clobber fails) cannot be analyzed this way.
-		if live[0] && allTrue(live) {
-			scannable = false
+		return ins
+	}
+	for _, reg := range discovery.Registers(a.Region) {
+		// Drawn before any probe, so the random stream does not depend
+		// on the verdicts.
+		rnd := make([]int64, n)
+		for g := range rnd {
+			rnd[g] = e.clobberValues(1)[0]
+		}
+		dead := make([]int, 0, n)
+		for g := 0; g < n; g++ {
+			dead = append(dead, g)
+		}
+		for i, k := range []func(int) int64{
+			func(int) int64 { return fixedClobber },
+			func(int) int64 { return -fixedClobber },
+			func(g int) int64 { return rnd[g] },
+		} {
+			// The first value probes each boundary alone: many are live.
+			if i > 0 && e.groupSafe(anScan, s, a.Region, clobbers(reg, dead, k)) {
+				continue
+			}
+			dead = slices.DeleteFunc(dead, func(g int) bool {
+				return !e.sameWith(s, a.Region, clobbers(reg, []int{g}, k))
+			})
+		}
+		live := make([]bool, n)
+		for g := range live {
+			live[g] = !slices.Contains(dead, g)
 		}
 		a.Live[reg] = live
-		if !scannable {
+		// A register that breaks everywhere (stack/frame pointer: even the
+		// entry clobber fails) cannot be analyzed this way.
+		if len(dead) == 0 {
 			continue
 		}
 		if live[0] {
@@ -291,15 +369,6 @@ func (e *Engine) scanRegisters(a *Analysis) {
 		}
 		e.attribute(a, reg, live)
 	}
-}
-
-func allTrue(bs []bool) bool {
-	for _, b := range bs {
-		if !b {
-			return false
-		}
-	}
-	return true
 }
 
 // attribute turns a liveness profile into def/read/use-def facts:
@@ -393,7 +462,7 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 			// Sign-diverse garbage: consumers like the x86's cltd only
 			// observe the sign, so a single clobber value can miss them.
 			r := e.clobberValues(1)[0]
-			for _, k := range []int64{523441, -523441, r} {
+			for _, k := range []int64{fixedClobber, -fixedClobber, r} {
 				withClobber := a.insertAtGroup(g, e.ClobberInstr(reg, k))
 				// Repair after group g: indexes shift by one after insertion.
 				pos := len(withClobber)

@@ -63,6 +63,15 @@ const (
 // RunsCounter names the tracer counter tallying an analysis's mutant runs.
 func RunsCounter(analysis string) string { return "mutate.runs." + analysis }
 
+// GroupedAnalyses names the analyses that group-test their probes: one
+// joint mutant stands for many that almost always pass, and only a joint
+// mutant that breaks falls back to probing them one at a time.
+var GroupedAnalyses = []string{anDelay, anScan}
+
+// JointFallbackCounter names the tracer counter tallying a grouped
+// analysis's joint mutants that broke.
+func JointFallbackCounter(analysis string) string { return "mutate.joint_fallbacks." + analysis }
+
 // enter makes analysis the one the engine's mutant runs are tallied
 // under and returns the function restoring the previous one, for
 // defer e.enter(analysis)().
@@ -253,16 +262,21 @@ func (e *Engine) sameAll(m mutant) bool {
 	return true
 }
 
+// fixedClobber is the clobber constant the liveness scan and def/read
+// attribution try first, and its negation second, before a random value.
+const fixedClobber = 523441
+
 // clobberValues returns n distinct pseudo-random clobber constants. The
 // paper's correctness argument (Fig. 6) needs at least two variants with
-// different values.
+// different values, so none is 0 or ±fixedClobber: a random value equal
+// to a fixed one would leave a three-value verdict with two.
 func (e *Engine) clobberValues(n int) []int64 {
 	out := make([]int64, n)
-	seen := map[int64]bool{}
+	seen := map[int64]bool{0: true, fixedClobber: true, -fixedClobber: true}
 	for i := range out {
 		for {
 			v := int64(e.Rand.Intn(1<<20) - 1<<19)
-			if v != 0 && !seen[v] {
+			if !seen[v] {
 				seen[v] = true
 				out[i] = v
 				break
