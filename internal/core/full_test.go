@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -17,11 +22,33 @@ import (
 // sample set (the paper's ~150 samples per type) on every architecture.
 // Every non-degenerate sample must extract — except the VAX's right-shift
 // family, which compiles to ashl with a negated count and is exactly the
-// limitation the paper reports (§5.2.3). Slower, so skipped under -short.
+// limitation the paper reports (§5.2.3). Each target's machine
+// description is pinned by its sha256 in testdata/full_md_digest.txt;
+// regenerate with
+//
+//	SRCG_UPDATE_GOLDEN=1 go test ./internal/core -run TestFullShapeDiscovery
+//
+// only after a change meant to alter what full-shape discovery learns.
+// Slower, so skipped under -short.
 func TestFullShapeDiscovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full shape set is slow")
 	}
+	golden := filepath.Join("testdata", "full_md_digest.txt")
+	update := os.Getenv("SRCG_UPDATE_GOLDEN") != ""
+	want := map[string]string{}
+	if !update {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("read golden digests (SRCG_UPDATE_GOLDEN=1 to create): %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if arch, sum, ok := strings.Cut(line, " "); ok {
+				want[arch] = strings.TrimSpace(sum)
+			}
+		}
+	}
+	var got strings.Builder
 	for _, tc := range []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()} {
 		tc := tc
 		t.Run(tc.Name(), func(t *testing.T) {
@@ -57,12 +84,27 @@ func TestFullShapeDiscovery(t *testing.T) {
 			if d.SpecErr != nil {
 				t.Errorf("synthesis: %v", d.SpecErr)
 			}
+			if d.Spec == nil {
+				t.Fatal("no machine description")
+			}
+			sum := sha256.Sum256([]byte(d.Spec.RenderBEG(d.Model)))
+			digest := hex.EncodeToString(sum[:])
+			fmt.Fprintf(&got, "%s %s\n", tc.Name(), digest)
+			if !update && digest != want[tc.Name()] {
+				t.Errorf("machine description sha256 %s, golden %s", digest, want[tc.Name()])
+			}
 			for _, r := range d.Validate(tc, ValidationSuite) {
 				if !r.OK && tc.Name() != "vax" {
 					t.Errorf("%s: %v got=%q want=%q", r.Program, r.Err, r.Got, r.Want)
 				}
 			}
 		})
+	}
+	if update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", golden)
 	}
 }
 
