@@ -28,7 +28,8 @@ func toolchains() []target.Toolchain {
 }
 
 // linkCorpus compiles and assembles every quick-set sample (seed 1) with
-// its initializer unit: the [main, init] unit pairs discovery links.
+// its initializer and helper units: the [main, init, helpers] unit
+// triples discovery links.
 func linkCorpus(tb testing.TB, tc target.Toolchain) [][]*asm.Unit {
 	tb.Helper()
 	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(1))})
@@ -38,7 +39,7 @@ func linkCorpus(tb testing.TB, tc target.Toolchain) [][]*asm.Unit {
 	out := make([][]*asm.Unit, 0, len(samples))
 	for _, s := range samples {
 		var units []*asm.Unit
-		for _, src := range []string{s.CSource, s.InitSource} {
+		for _, src := range []string{s.CSource, s.InitSource, s.HelperSource} {
 			text, err := tc.CompileC(src)
 			if err != nil {
 				tb.Fatalf("%s: %s: compile: %v", tc.Name(), s.Name, err)
@@ -166,8 +167,8 @@ func TestLinkSharedUnitsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkLink links the alpha corpus: one op is all 39 [main, init]
-// pairs.
+// BenchmarkLink links the alpha corpus: one op is all 39 [main, init,
+// helpers] triples.
 func BenchmarkLink(b *testing.B) {
 	tc := alpha.New()
 	corpus := linkCorpus(b, tc)
@@ -183,7 +184,8 @@ func BenchmarkLink(b *testing.B) {
 }
 
 // BenchmarkAssemble assembles the compiled quick-set corpus (seed 1) on
-// all five targets: one op is every [main, init] text of every target.
+// all five targets: one op is every [main, init, helpers] text of every
+// target.
 func BenchmarkAssemble(b *testing.B) {
 	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
@@ -196,7 +198,7 @@ func BenchmarkAssemble(b *testing.B) {
 	var texts []text
 	for _, tc := range toolchains() {
 		for _, s := range samples {
-			for _, src := range []string{s.CSource, s.InitSource} {
+			for _, src := range []string{s.CSource, s.InitSource, s.HelperSource} {
 				t, err := tc.CompileC(src)
 				if err != nil {
 					b.Fatalf("%s: %s: compile: %v", tc.Name(), s.Name, err)

@@ -221,29 +221,37 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			}
 			work = append(work, s)
 		}
+		// Every engine links the same few initializer and helper units,
+		// so they are compiled once, serially and in sample order, and
+		// shared read-only by every fork.
+		engine.Units = mutate.CompileUnits(rig, work)
+		newEngine := func(sub *discovery.Rig, rnd *rand.Rand) *mutate.Engine {
+			e := mutate.New(sub, model, rnd)
+			e.Units = engine.Units
+			return e
+		}
 		type analyzed struct {
 			a   *mutate.Analysis
 			err error
 		}
-		// Every sample's base valuation runs first, in a batch of its own,
-		// under the full output quorum: two runs per sample before any
-		// mutant. A lying machine that the lexer bootstrap's few runs
-		// missed trips the noisy latch here, and the analysis forks below
-		// snapshot it, so no mutant on that machine settles on a single
-		// run (DESIGN §7). Only the verdict crosses to the analysis:
-		// carrying the engine would hold every sample's assembled
-		// initializers live at once, which measured 15% more garbage
-		// collection cycles. QuorumN=1 forms no quorum, so there is no
-		// latch to trip and no batch: such a run probes as it always did.
+		// Every sample's baseline, all its valuations in one image, runs
+		// first, in a batch of its own, under the full output quorum: two
+		// runs per sample before any mutant. A lying machine that the
+		// lexer bootstrap's few runs missed trips the noisy latch here,
+		// and the analysis forks below snapshot it, so no mutant on that
+		// machine settles on a single run (DESIGN §7). Only the verdict
+		// crosses to the analysis. QuorumN=1 forms no quorum, so there is
+		// no latch to trip and no batch: each analysis checks its own
+		// baseline.
 		var baselines []error
 		if opts.QuorumN != 1 {
 			baselines = pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) error {
-				return mutate.New(sub, model, nil).CheckBaseline(work[i], 0)
+				return newEngine(sub, nil).CheckBaseline(work[i])
 			})
 		}
 		results := pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) analyzed {
 			s := work[i]
-			eng := mutate.New(sub, model, rand.New(rand.NewSource(sampleSeed(opts.Seed, s.Name))))
+			eng := newEngine(sub, rand.New(rand.NewSource(sampleSeed(opts.Seed, s.Name))))
 			if baselines != nil {
 				if baselines[i] != nil {
 					return analyzed{err: baselines[i]}
@@ -313,7 +321,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 				diags := check.VerifyGraph(model, a, g)
 				for retry := 1; countErrors(diags) > 0 && retry <= DefaultCheckRetries; retry++ {
 					tr.Count(CtrCheckRetries, 1)
-					retryEngine := mutate.New(rig, model, rand.New(rand.NewSource(retrySeed(opts.Seed, s.Name, retry))))
+					retryEngine := newEngine(rig, rand.New(rand.NewSource(retrySeed(opts.Seed, s.Name, retry))))
 					a2, err := retryEngine.Analyze(s)
 					if err != nil {
 						continue
@@ -351,6 +359,10 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The units held 3.3 of the 3.9 MB a sparc discovery retained; the
+	// Synthesizer's few probes compile theirs again rather than keep them
+	// all live through reverse interpretation, the allocation peak.
+	engine.DropUnits()
 
 	// Phase 3 — reverse interpretation: graph matching feeds the M
 	// component of the likelihood, then the extractor searches for each

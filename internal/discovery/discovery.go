@@ -136,14 +136,16 @@ const (
 
 // Sample is one generated C program together with everything the pipeline
 // learns about it. CSource/InitSource are the two translation units of the
-// Fig. 3 harness; ExpectedOut is the stdout of the unmutated program.
+// Fig. 3 harness and HelperSource the procedures call samples call, linked
+// beside them; ExpectedOut is the stdout of the unmutated program.
 type Sample struct {
-	Name       string
-	Kind       PayloadKind
-	COp        string // C operator for PBinary/PUnary ("+", "-", ...); relation for PCond
-	Payload    string // the C statement(s) between Begin and End
-	CSource    string
-	InitSource string
+	Name         string
+	Kind         PayloadKind
+	COp          string // C operator for PBinary/PUnary ("+", "-", ...); relation for PCond
+	Payload      string // the C statement(s) between Begin and End
+	CSource      string
+	InitSource   string
+	HelperSource string
 
 	// Operand shape metadata ("b,c", "a,K", "K,b", ...) and the concrete
 	// initialization values chosen by the Monte-Carlo chooser.
@@ -161,6 +163,12 @@ type Sample struct {
 	// keep semantically meaningful instructions from being "redundant",
 	// and they break value-symmetric misinterpretations in the Extractor.
 	Variants []Valuation
+	// BatchInitSource replaces InitSource to run every valuation, in
+	// order, in one execution, which prints BatchExpectedOut: each
+	// valuation's expected output in turn. Set only for a sample generated
+	// with variants; see Batch.
+	BatchInitSource  string
+	BatchExpectedOut string
 
 	// Filled by the Lexer.
 	FullAsm             string
@@ -196,6 +204,17 @@ func (s *Sample) Valuation(i int) Valuation {
 			InitSource: s.InitSource, ExpectedOut: s.ExpectedOut}
 	}
 	return s.Variants[i-1]
+}
+
+// Batch returns the initializer and expected output of the image that
+// runs every valuation of s in one execution. A sample with one
+// valuation, also one whose variants were stripped, runs it under
+// InitSource.
+func (s *Sample) Batch() (initSource, expectedOut string) {
+	if s.NumValuations() == 1 {
+		return s.InitSource, s.ExpectedOut
+	}
+	return s.BatchInitSource, s.BatchExpectedOut
 }
 
 // Rebuild reassembles the sample's full text with a replacement region.

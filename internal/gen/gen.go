@@ -36,12 +36,19 @@ type Config struct {
 	Full bool
 }
 
-// Harness renders the Fig. 3 main translation unit around a payload.
+// Harness renders the Fig. 3 main translation unit around a payload,
+// with one addition: after printf, main loops back to Init while the
+// initializer reports that valuations remain (more). Under a
+// one-valuation initializer more stays 0 and the program is Fig. 3's;
+// under BatchInitUnit one execution runs the payload once per valuation.
+// The loop sits outside Begin..End and main still ends in exit, so the
+// compiled region is the same text either way.
 func Harness(payload string) string {
-	return `extern int z1,z2,z3,z4,z5,z6;
+	return `extern int z1,z2,z3,z4,z5,z6,more;
 extern void Init();
 main() {
 	int a, b, c;
+Again:
 	Init(&a, &b, &c);
 	if (z1) goto Begin;
 	if (z2) goto End;
@@ -53,25 +60,68 @@ Begin:
 	` + payload + `
 End:
 	printf("%i\n", a);
+	if (more) goto Again;
 	exit(0);
 }`
 }
 
-// InitUnit renders the separately compiled initializer that hides the
-// values a0, b, c from the compiler (plus the helper procedures used by
-// call samples).
+// InitUnit renders Fig. 3's separately compiled initializer that hides
+// the values a0, b, c from the compiler. It defines more and leaves it 0,
+// so the harness runs the payload once.
 func InitUnit(a0, b, c int64) string {
-	return fmt.Sprintf(`int z1,z2,z3,z4,z5,z6;
+	return fmt.Sprintf(`int z1,z2,z3,z4,z5,z6,more;
 void Init(n,o,p)
 int *n,*o,*p;
 {
-	z1=z2=z3=1;
-	z4=z5=z6=1;
-	*n = %d;
-	*o = %d;
-	*p = %d;
+%s}`, initBody("\t", a0, b, c))
 }
-int P(int x)
+
+// initBody is the statement list of Fig. 3's Init, each statement
+// prefixed by indent. The batched initializer repeats it as the last
+// statements of each branch, so Init returns with the registers it leaves
+// behind as they are under the one-valuation unit.
+func initBody(indent string, a0, b, c int64) string {
+	return fmt.Sprintf(`%[1]sz1=z2=z3=1;
+%[1]sz4=z5=z6=1;
+%[1]s*n = %[2]d;
+%[1]s*o = %[3]d;
+%[1]s*p = %[4]d;
+`, indent, a0, b, c)
+}
+
+// BatchInitUnit renders an initializer that hands out one of two or more
+// valuations per call, in order, and keeps more set while valuations
+// remain: the harness then prints every valuation's output, in turn, in
+// one execution. An if / else if chain picks the first valuation whose
+// flag (donek) is still 0 and sets it. Each test compares a flag with 0,
+// which every target compiles without a register the branch's body does
+// not overwrite.
+func BatchInitUnit(vals []discovery.Valuation) string {
+	var sb strings.Builder
+	sb.WriteString("int z1,z2,z3,z4,z5,z6,more")
+	for k := range vals[1:] {
+		fmt.Fprintf(&sb, ",done%d", k)
+	}
+	sb.WriteString(";\nvoid Init(n,o,p)\nint *n,*o,*p;\n{\n")
+	for k, v := range vals {
+		switch k {
+		case 0:
+			sb.WriteString("\tif (done0 == 0) {\n\t\tdone0 = 1;\n\t\tmore = 1;\n")
+		case len(vals) - 1:
+			sb.WriteString("\t} else {\n\t\tmore = 0;\n")
+		default:
+			fmt.Fprintf(&sb, "\t} else if (done%d == 0) {\n\t\tdone%[1]d = 1;\n", k)
+		}
+		sb.WriteString(initBody("\t\t", v.A0, v.B, v.C))
+	}
+	sb.WriteString("\t}\n}")
+	return sb.String()
+}
+
+// HelperUnit is the translation unit of the procedures the call samples
+// call. It is the same for every sample, so it is compiled once and
+// linked beside the initializer.
+const HelperUnit = `int P(int x)
 {
 	return x - 42;
 }
@@ -82,8 +132,7 @@ int P2(int x, int y)
 int P0()
 {
 	return 19;
-}`, a0, b, c)
-}
+}`
 
 // Samples generates the full sample set.
 func Samples(cfg Config) ([]*discovery.Sample, error) {
@@ -481,12 +530,22 @@ func (g *generator) stress() *discovery.Sample {
 // every verdict to hold under all valuations, which keeps instructions
 // that are dead under one valuation (an untaken branch's store) from being
 // eliminated, and starves value-symmetric misinterpretations in the
-// Extractor.
+// Extractor. A sample with variants also gets the batched initializer
+// that runs all its valuations in one execution.
 func (g *generator) finish(s *discovery.Sample) {
 	s.CSource = Harness(s.Payload)
 	s.InitSource = InitUnit(s.A0, s.B, s.C)
+	s.HelperSource = HelperUnit
 	s.ExpectedOut = fmt.Sprintf("%d\n", int32(s.Expect))
 	g.addVariants(s)
+	if vals := s.Valuations(); len(vals) > 1 {
+		s.BatchInitSource = BatchInitUnit(vals)
+		var out strings.Builder
+		for _, v := range vals {
+			out.WriteString(v.ExpectedOut)
+		}
+		s.BatchExpectedOut = out.String()
+	}
 }
 
 // addVariants synthesizes two further valuations appropriate to the

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,7 +46,8 @@ func TestDeterminism(t *testing.T) {
 	a, _ := Samples(Config{Rand: rand.New(rand.NewSource(7)), Full: true})
 	b, _ := Samples(Config{Rand: rand.New(rand.NewSource(7)), Full: true})
 	for i := range a {
-		if a[i].CSource != b[i].CSource || a[i].InitSource != b[i].InitSource {
+		if a[i].CSource != b[i].CSource || a[i].InitSource != b[i].InitSource ||
+			a[i].BatchInitSource != b[i].BatchInitSource {
 			t.Fatalf("sample %d differs between identical seeds", i)
 		}
 	}
@@ -61,14 +64,15 @@ func TestDistinctValues(t *testing.T) {
 
 // TestSamplesRunOnAllTargets is the keystone integration test: every
 // generated sample must compile, assemble, link, and execute on every
-// simulated machine, producing exactly the output the Generator predicted.
+// simulated machine, producing exactly the output the Generator predicted,
+// under its base valuation and with every valuation in one image.
 func TestSamplesRunOnAllTargets(t *testing.T) {
 	targets := []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()}
 	ss := fullSamples(t)
 	for _, tc := range targets {
 		t.Run(tc.Name(), func(t *testing.T) {
 			for _, s := range ss {
-				out, err := target.BuildAndRun(tc, []string{s.CSource, s.InitSource})
+				out, err := target.BuildAndRun(tc, []string{s.CSource, s.InitSource, s.HelperSource})
 				if err != nil {
 					t.Errorf("%s: %v", s.Name, err)
 					continue
@@ -76,6 +80,10 @@ func TestSamplesRunOnAllTargets(t *testing.T) {
 				if out != s.ExpectedOut {
 					t.Errorf("%s: out = %q, want %q (payload %q, a0=%d b=%d c=%d)",
 						s.Name, out, s.ExpectedOut, s.Payload, s.A0, s.B, s.C)
+				}
+				init, want := s.Batch()
+				if out, err := target.BuildAndRun(tc, []string{s.CSource, init, s.HelperSource}); err != nil || out != want {
+					t.Errorf("%s: every valuation in one image: out = %q, %v, want %q", s.Name, out, err, want)
 				}
 			}
 		})
@@ -102,6 +110,48 @@ func TestVariantValuesStayDistinctive(t *testing.T) {
 				if e == 0 || e == 1 || e == -1 {
 					t.Errorf("seed %d %s valuation %d: degenerate expect %d (b=%d c=%d k=%d)",
 						seed, s.Name, i, e, v.B, v.C, s.K)
+				}
+			}
+		}
+	}
+}
+
+// TestHarnessKeepsRegion: the harness's loop back to Init lies outside
+// Begin..End, so every sample's payload compiles to the same region text
+// under it as under Fig. 3's main (testdata/fig3_main.c) on every target,
+// for the quick and the full sample set.
+func TestHarnessKeepsRegion(t *testing.T) {
+	fig3, err := os.ReadFile(filepath.Join("testdata", "fig3_main.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := func(text string) (string, bool) {
+		_, rest, ok := strings.Cut(text, "\nBegin:\n")
+		if !ok {
+			return "", false
+		}
+		body, _, ok := strings.Cut(rest, "\nEnd:\n")
+		return body, ok
+	}
+	for _, full := range []bool{false, true} {
+		ss, err := Samples(Config{Rand: rand.New(rand.NewSource(1)), Full: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()} {
+			for _, s := range ss {
+				old, err := tc.CompileC(strings.Replace(string(fig3), "PAYLOAD", s.Payload, 1))
+				if err != nil {
+					t.Fatalf("%s %s: Fig. 3 main: %v", tc.Name(), s.Name, err)
+				}
+				cur, err := tc.CompileC(s.CSource)
+				if err != nil {
+					t.Fatalf("%s %s: %v", tc.Name(), s.Name, err)
+				}
+				want, ok1 := region(old)
+				got, ok2 := region(cur)
+				if !ok1 || !ok2 || got != want {
+					t.Errorf("%s %s (full=%v): region\n%s\nwant Fig. 3's\n%s", tc.Name(), s.Name, full, got, want)
 				}
 			}
 		}

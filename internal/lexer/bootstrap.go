@@ -42,10 +42,13 @@ func Bootstrap(rig *discovery.Rig, samples []*discovery.Sample) (*discovery.Mode
 			return nil, err
 		}
 	}
-	// The initializer unit is compiler output too — scan it as well (it is
-	// where callee-side conventions like the VAX argument pointer show up).
-	if initText, err := rig.CompileAsm(samples[0].InitSource); err == nil {
-		texts = append(texts, initText)
+	// The initializer and helper units are compiler output too — scan them
+	// as well (they are where callee-side conventions like the VAX argument
+	// pointer show up).
+	for _, src := range []string{samples[0].InitSource, samples[0].HelperSource} {
+		if text, err := rig.CompileAsm(src); err == nil {
+			texts = append(texts, text)
+		}
 	}
 
 	if err := DiscoverRegisters(rig, m, texts); err != nil {

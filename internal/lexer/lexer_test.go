@@ -164,7 +164,11 @@ func TestExtractionRebuildRoundTrips(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := rig.LinkRun(u1, initU)
+				helpers, err := rig.Assemble(mustCompileTest(t, rig, s.HelperSource))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := rig.LinkRun(u1, initU, helpers)
 				if err != nil {
 					t.Errorf("%s: rebuilt program failed: %v", s.Name, err)
 					continue

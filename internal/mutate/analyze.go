@@ -64,7 +64,7 @@ func (e *Engine) Analyze(s *discovery.Sample) (*Analysis, error) {
 		UseDefs: map[string][]int{},
 		AWriter: -1,
 	}
-	if err := e.checkBaselines(s); err != nil {
+	if err := e.CheckBaseline(s); err != nil {
 		return nil, err
 	}
 	if err := e.normalizeDelaySlots(a); err != nil {
@@ -702,7 +702,7 @@ func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
 		var value int64
 		hard := true
 		for vi := 0; vi < a.Sample.NumValuations(); vi++ {
-			outStr, err := e.run(m, vi, "")
+			outStr, err := e.run(m, a.Sample.Valuation(vi).InitSource, "")
 			if err != nil {
 				hard = false
 				break

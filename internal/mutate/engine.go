@@ -19,16 +19,20 @@ import (
 )
 
 // Engine runs mutated samples against the target. Every mutant is
-// probed afresh; the only verdict it takes on trust is its sample's base
-// valuation, when a CheckBaseline elsewhere already passed it
+// probed afresh; the only verdict it takes on trust is its sample's
+// baseline, when a CheckBaseline elsewhere already passed it
 // (AssumeBaseline).
 type Engine struct {
 	Rig   *discovery.Rig
 	Model *discovery.Model
 	Rand  *rand.Rand
+	// Units, when set, holds the assembled initializer and helper units
+	// of a discovery (CompileUnits), shared read-only by its engines; a
+	// source it lacks is compiled into the engine's own cache.
+	Units Units
 
-	initUnits map[string]*asm.Unit
-	baseOK    *discovery.Sample
+	ownUnits map[string]*asm.Unit
+	baseOK   *discovery.Sample
 	// runs is the RunsCounter of the analysis the engine is running.
 	runs string
 }
@@ -84,34 +88,82 @@ func (e *Engine) enter(analysis string) func() {
 // New creates a mutation engine.
 func New(rig *discovery.Rig, m *discovery.Model, rnd *rand.Rand) *Engine {
 	return &Engine{
-		Rig:       rig,
-		Model:     m,
-		Rand:      rnd,
-		initUnits: map[string]*asm.Unit{},
+		Rig:      rig,
+		Model:    m,
+		Rand:     rnd,
+		ownUnits: map[string]*asm.Unit{},
 	}
 }
 
-// initUnit assembles (and caches) an initializer unit.
-func (e *Engine) initUnit(src string) (*asm.Unit, error) {
-	if u, ok := e.initUnits[src]; ok {
+// Units maps a C source to its assembled unit: the initializers and the
+// helper procedures that every mutant of a sample links beside its main
+// unit. Built once per discovery and then only read, it is shared by
+// every engine, forks included.
+type Units map[string]*asm.Unit
+
+// CompileUnits compiles and assembles, in sample order, each distinct
+// unit the samples' mutants link: every valuation's initializer, the
+// batched initializer and the helpers. A source that fails is left out,
+// so an engine that needs it compiles it again and sees the error.
+func CompileUnits(rig *discovery.Rig, samples []*discovery.Sample) Units {
+	t := Units{}
+	add := func(src string) {
+		if _, ok := t[src]; ok || src == "" {
+			return
+		}
+		if u, err := compileUnit(rig, src); err == nil {
+			t[src] = u
+		}
+	}
+	for _, s := range samples {
+		for val := 0; val < s.NumValuations(); val++ {
+			add(s.Valuation(val).InitSource)
+		}
+		init, _ := s.Batch()
+		add(init)
+		add(s.HelperSource)
+	}
+	return t
+}
+
+func compileUnit(rig *discovery.Rig, src string) (*asm.Unit, error) {
+	text, err := rig.CompileAsm(src)
+	if err != nil {
+		return nil, err
+	}
+	return rig.Assemble(text)
+}
+
+// unit returns the assembled unit of src, from the shared table or the
+// engine's own cache, compiling it on first use.
+func (e *Engine) unit(src string) (*asm.Unit, error) {
+	if u, ok := e.Units[src]; ok {
 		return u, nil
 	}
-	text, err := e.Rig.CompileAsm(src)
+	if u, ok := e.ownUnits[src]; ok {
+		return u, nil
+	}
+	u, err := compileUnit(e.Rig, src)
 	if err != nil {
 		return nil, err
 	}
-	u, err := e.Rig.Assemble(text)
-	if err != nil {
-		return nil, err
-	}
-	e.initUnits[src] = u
+	e.ownUnits[src] = u
 	return u, nil
 }
 
+// DropUnits forgets every initializer and helper unit the engine holds,
+// shared or its own; a later run compiles what it needs again.
+func (e *Engine) DropUnits() {
+	e.Units = nil
+	clear(e.ownUnits)
+}
+
 // SameOutput assembles the sample with a replacement region once, then
-// links and runs it under EVERY valuation, reporting whether all still
-// produce the expected outputs. Any failure (assembly rejection, link
-// error, runtime fault, wrong output) counts as "behaved differently".
+// links it into one image that runs every valuation in turn (the
+// sample's batched initializer) and runs that, reporting whether it
+// still prints every expected output. Any failure (assembly rejection,
+// link error, runtime fault, wrong output) counts as "behaved
+// differently".
 func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool {
 	return e.sameAll(e.build(s, region))
 }
@@ -126,50 +178,27 @@ func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, va
 	return e.same(e.build(s, region), val)
 }
 
-// CheckBaseline fails unless the unmutated sample reproduces its expected
-// output under valuation val. Unlike a mutant's check it runs the full
-// output quorum: this is the baseline mutants are compared against, and
-// on a lying machine its disagreeing runs trip the prober's noisy latch.
-// The base valuation of an assumed sample (AssumeBaseline) passes
-// without a probe.
-func (e *Engine) CheckBaseline(s *discovery.Sample, val int) error {
-	if val == 0 && s == e.baseOK {
-		return nil
-	}
-	defer e.enter(anBaseline)()
-	return e.checkBaseline(e.build(s, s.Region), val)
-}
-
-// checkBaselines is CheckBaseline on every valuation of s, sharing one
-// assembly of the unmutated sample.
-func (e *Engine) checkBaselines(s *discovery.Sample) error {
-	first := 0
+// CheckBaseline fails unless the unmutated sample reproduces the
+// expected output of every valuation. Unlike a mutant's check it runs the
+// full output quorum, once, on the image that runs every valuation: this
+// is the baseline mutants are compared against, and on a lying machine
+// its disagreeing runs trip the prober's noisy latch. An assumed sample
+// (AssumeBaseline) passes without a probe.
+func (e *Engine) CheckBaseline(s *discovery.Sample) error {
 	if s == e.baseOK {
-		first = 1
-	}
-	if first == s.NumValuations() {
 		return nil
 	}
 	defer e.enter(anBaseline)()
-	m := e.build(s, s.Region)
-	for val := first; val < s.NumValuations(); val++ {
-		if err := e.checkBaseline(m, val); err != nil {
-			return err
-		}
+	init, want := s.Batch()
+	if out, err := e.run(e.build(s, s.Region), init, ""); err != nil || out != want {
+		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", s.Name)
 	}
 	return nil
 }
 
-func (e *Engine) checkBaseline(m mutant, val int) error {
-	if out, err := e.run(m, val, ""); err != nil || out != m.s.Valuation(val).ExpectedOut {
-		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", m.s.Name)
-	}
-	return nil
-}
-
-// AssumeBaseline records that the unmutated sample reproduces its expected
-// output under its base valuation, as a CheckBaseline on another engine
-// found; this engine's own check of that one valuation then passes
+// AssumeBaseline records that the unmutated sample reproduces the
+// expected output of every valuation, as a CheckBaseline on another
+// engine found; this engine's own check of the sample then passes
 // without re-probing.
 func (e *Engine) AssumeBaseline(s *discovery.Sample) {
 	e.baseOK = s
@@ -180,30 +209,24 @@ func (e *Engine) AssumeBaseline(s *discovery.Sample) {
 // Synthesizer's probes that compare two outputs observed on the machine.
 func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int) (string, error) {
 	defer e.enter(anSynth)()
-	return e.run(e.build(s, region), val, "")
+	return e.run(e.build(s, region), s.Valuation(val).InitSource, "")
 }
 
-// PrintsAll assembles the sample with a replacement region once and
-// reports whether it prints want[val] under each valuation val, stopping
-// at the first that does not. want holds one exact reference per
-// valuation (Rig.LinkRunExpect), such as the output cell's initial value
-// that the Synthesizer's jump probe expects once its branch skips the
-// store.
+// PrintsAll assembles the sample with a replacement region and reports
+// whether the image running every valuation prints want[val] for each
+// valuation val in turn. want holds one exact reference per valuation
+// (Rig.LinkRunExpect), such as the output cell's initial value that the
+// Synthesizer's jump probe expects once its branch skips the store.
 func (e *Engine) PrintsAll(s *discovery.Sample, region []discovery.Instr, want []string) bool {
 	defer e.enter(anSynth)()
-	m := e.build(s, region)
-	for val, w := range want {
-		if !e.prints(m, val, w) {
-			return false
-		}
-	}
-	return true
+	init, _ := s.Batch()
+	return e.prints(e.build(s, region), init, strings.Join(want, ""))
 }
 
 // mutant is a sample rebuilt around a replacement region and assembled
 // once. The text does not depend on the valuation, which lives in its own
-// initializer unit, so one assembly serves every valuation's link and
-// run. err is the assembler's rejection, if any.
+// initializer unit, so one assembly serves every initializer it is linked
+// with. err is the assembler's rejection, if any.
 type mutant struct {
 	s   *discovery.Sample
 	u   *asm.Unit
@@ -216,50 +239,50 @@ func (e *Engine) build(s *discovery.Sample, region []discovery.Instr) mutant {
 	return mutant{s: s, u: u, err: err}
 }
 
-// run links m with valuation val's initializer and executes it, counting
-// one mutation, under the current analysis too. A rejected mutant counts
-// its mutation and fails. A non-empty want is an exact reference output
-// and the run goes through Rig.LinkRunExpect against it; an empty want
-// runs the full output quorum.
-func (e *Engine) run(m mutant, val int, want string) (string, error) {
+// run links m with the initializer init and the helpers and executes the
+// image, counting one mutation, under the current analysis too. A
+// rejected mutant counts its mutation and fails. A non-empty want is an
+// exact reference output and the run goes through Rig.LinkRunExpect
+// against it; an empty want runs the full output quorum.
+func (e *Engine) run(m mutant, init, want string) (string, error) {
 	tr := e.Rig.Trace()
 	tr.Count(discovery.CtrMutations, 1)
 	tr.Count(e.runs, 1)
 	if m.err != nil {
 		return "", m.err
 	}
-	v := m.s.Valuation(val)
-	initU, err := e.initUnit(v.InitSource)
+	initU, err := e.unit(init)
+	if err != nil {
+		return "", err
+	}
+	helpers, err := e.unit(m.s.HelperSource)
 	if err != nil {
 		return "", err
 	}
 	if want != "" {
-		return e.Rig.LinkRunExpect(want, m.u, initU)
+		return e.Rig.LinkRunExpect(want, m.u, initU, helpers)
 	}
-	return e.Rig.LinkRun(m.u, initU)
+	return e.Rig.LinkRun(m.u, initU, helpers)
 }
 
-// prints reports whether m prints want, an exact reference output, under
-// valuation val.
-func (e *Engine) prints(m mutant, val int, want string) bool {
-	out, err := e.run(m, val, want)
+// prints reports whether m, linked with the initializer init, prints
+// want, an exact reference output.
+func (e *Engine) prints(m mutant, init, want string) bool {
+	out, err := e.run(m, init, want)
 	return err == nil && out == want
 }
 
 // same reports whether m reproduces valuation val's expected output.
 func (e *Engine) same(m mutant, val int) bool {
-	return e.prints(m, val, m.s.Valuation(val).ExpectedOut)
+	v := m.s.Valuation(val)
+	return e.prints(m, v.InitSource, v.ExpectedOut)
 }
 
-// sameAll reports whether m reproduces the expected output under every
-// valuation, stopping at the first that differs.
+// sameAll reports whether m reproduces the expected output of every
+// valuation: one link and one run of the image that runs them all.
 func (e *Engine) sameAll(m mutant) bool {
-	for val := 0; val < m.s.NumValuations(); val++ {
-		if !e.same(m, val) {
-			return false
-		}
-	}
-	return true
+	init, want := m.s.Batch()
+	return e.prints(m, init, want)
 }
 
 // fixedClobber is the clobber constant the liveness scan and def/read

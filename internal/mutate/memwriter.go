@@ -70,7 +70,7 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 				}
 				probes[j] = e.build(a.Sample, region)
 			}
-			if !e.prints(probes[j], val, wants[j]) {
+			if !e.prints(probes[j], a.Sample.Valuation(val).InitSource, wants[j]) {
 				return false
 			}
 		}

@@ -47,35 +47,38 @@ func analyze(t *testing.T, e *Engine, s *discovery.Sample) *Analysis {
 }
 
 // TestBaselineRunsFullQuorum: a baseline is never settled by the one-run
-// expect shortcut, and an assumed baseline covers exactly one sample's
-// base valuation: that check makes no toolchain call, while any other
-// valuation or sample still runs the full quorum.
+// expect shortcut: it spends one 2-run quorum on the image that runs every
+// valuation. An assumed baseline covers exactly one sample: its check
+// makes no toolchain call, while another sample's still runs the quorum.
 func TestBaselineRunsFullQuorum(t *testing.T) {
 	e, samples := setup(t, x86.New())
 	s, other := samples["int.add.b_c"], samples["int.sub.b_c"]
-	checkQuorum := func(s *discovery.Sample, val int) {
+	checkQuorum := func(s *discovery.Sample) {
 		t.Helper()
 		before := e.Rig.ProbeStats()
-		if err := e.CheckBaseline(s, val); err != nil {
+		links := e.Rig.Stats().Links
+		if err := e.CheckBaseline(s); err != nil {
 			t.Fatal(err)
 		}
 		after := e.Rig.ProbeStats()
 		if runs := after.QuorumRuns - before.QuorumRuns; runs != 2 || after.ExpectAccepts != before.ExpectAccepts {
-			t.Errorf("%s baseline %d spent %d runs, %d expect accepts; want the 2-run quorum, none",
-				s.Name, val, runs, after.ExpectAccepts-before.ExpectAccepts)
+			t.Errorf("%s baseline spent %d runs, %d expect accepts; want the 2-run quorum, none",
+				s.Name, runs, after.ExpectAccepts-before.ExpectAccepts)
+		}
+		if n := e.Rig.Stats().Links - links; n != 1 {
+			t.Errorf("%s baseline linked %d images; want one for its %d valuations", s.Name, n, s.NumValuations())
 		}
 	}
-	checkQuorum(s, 1)
+	checkQuorum(s)
 	e.AssumeBaseline(s)
 	before := e.Rig.ProbeStats().Attempts
-	if err := e.CheckBaseline(s, 0); err != nil {
+	if err := e.CheckBaseline(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Rig.ProbeStats().Attempts; got != before {
 		t.Errorf("an assumed baseline made %d toolchain calls; want 0", got-before)
 	}
-	checkQuorum(s, 1)
-	checkQuorum(other, 0)
+	checkQuorum(other)
 }
 
 // textCounter counts how often the assembler sees each text, and the
@@ -98,8 +101,8 @@ func (c *textCounter) Execute(img *asm.Image) (string, error) {
 
 // TestOneAssemblyPerMutant: a mutant's text does not depend on the
 // valuation, which lives in its own initializer unit, so the engine
-// assembles each mutant once and links and runs that one unit under
-// every valuation it checks.
+// assembles each mutant once, and a check of every valuation links and
+// runs it once, with the initializer that hands out all valuations.
 func TestOneAssemblyPerMutant(t *testing.T) {
 	tc := &textCounter{Toolchain: x86.New(), texts: map[string]int{}}
 	e, samples := setup(t, tc)
@@ -118,12 +121,12 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 			t.Errorf("%s cost %d assemblies, %d links, %d mutations; want %v", what, got[0], got[1], got[2], want)
 		}
 	}
-	// The first check also assembles each valuation's initializer, once
-	// per engine; every later check reuses them.
+	// The first check also assembles the batched initializer and the
+	// helpers, once per engine; every later check reuses them.
 	if !e.SameOutput(s, s.Region) {
 		t.Fatal("the unmutated sample does not reproduce its output")
 	}
-	cost("a passing SameOutput", 1, v, v, func() {
+	cost("a passing SameOutput", 1, 1, 1, func() {
 		if !e.SameOutput(s, Insert(s.Region, 0, e.ClobberInstr("%edi", 5))) {
 			t.Error("clobbering an unused register changed the output")
 		}
@@ -139,21 +142,6 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 	a := analyze(t, e, s)
 	if n := tc.texts[base] - before; n != 1 {
 		t.Errorf("Analyze assembled the unmutated sample %d times; want once for all %d valuations", n, v)
-	}
-
-	// An assumed base valuation is skipped; every other valuation still
-	// spends the full 2-run quorum, all on the one assembly.
-	e.AssumeBaseline(s)
-	probes := e.Rig.ProbeStats()
-	cost("the baseline check after AssumeBaseline", 1, v-1, v-1, func() {
-		if err := e.checkBaselines(s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	after := e.Rig.ProbeStats()
-	if runs := after.QuorumRuns - probes.QuorumRuns; runs != 2*(v-1) || after.ExpectAccepts != probes.ExpectAccepts {
-		t.Errorf("baseline check spent %d quorum runs, %d expect accepts; want %d, none",
-			runs, after.ExpectAccepts-probes.ExpectAccepts, 2*(v-1))
 	}
 
 	// FindMemWriter assembles each (position, constant) probe once for

@@ -98,7 +98,7 @@ func BenchmarkExecute(b *testing.B) {
 	var imgs []*asm.Image
 	for _, s := range samples {
 		var units []*asm.Unit
-		for _, src := range []string{s.CSource, s.InitSource} {
+		for _, src := range []string{s.CSource, s.InitSource, s.HelperSource} {
 			text, err := tc.CompileC(src)
 			if err != nil {
 				b.Fatal(err)
