@@ -221,9 +221,9 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			}
 			work = append(work, s)
 		}
-		// Every engine links the same few initializer and helper units,
-		// so they are compiled once, serially and in sample order, and
-		// shared read-only by every fork.
+		// The engines link the same initializer and helper units, so each
+		// distinct one is compiled once, serially and in sample order,
+		// and shared read-only by every fork.
 		engine.Units = mutate.CompileUnits(rig, work)
 		newEngine := func(sub *discovery.Rig, rnd *rand.Rand) *mutate.Engine {
 			e := mutate.New(sub, model, rnd)

@@ -572,9 +572,11 @@ func e15(s *Suite) (*Result, error) {
 	t.rowf("\nexecutions are logical (one per linked program); runs are the physical")
 	t.rowf("executions the output quorum spent on them. A mutant that reproduces its")
 	t.rowf("reference output settles in one run on a machine never caught lying, so")
-	t.rowf("runs/executions is 1.1-1.5, not the two-run quorum's 2.")
-	t.rowf("A mutant is assembled once and linked and run under each valuation of")
-	t.rowf("its sample, so assembles are fewer than links.")
+	t.rowf("runs/executions is 1.4-1.5, not the two-run quorum's 2.")
+	t.rowf("A mutant is assembled once, then linked and run once with an initializer")
+	t.rowf("that hands out every valuation of its sample in turn. Assembler-bisection")
+	t.rowf("probes and the mutants the assembler rejects are never linked, so")
+	t.rowf("assembles outnumber links.")
 	t.rowf("\nThe paper reports \"several hours\" per architecture on 1997 hardware and")
 	t.rowf("calls it 1-2 orders of magnitude faster than manual retargeting; the shape")
 	t.rowf("here is the same (thousands of toolchain interactions), compressed to seconds.")

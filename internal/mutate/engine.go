@@ -108,7 +108,7 @@ type Units map[string]*asm.Unit
 func CompileUnits(rig *discovery.Rig, samples []*discovery.Sample) Units {
 	t := Units{}
 	add := func(src string) {
-		if _, ok := t[src]; ok || src == "" {
+		if _, ok := t[src]; ok {
 			return
 		}
 		if u, err := compileUnit(rig, src); err == nil {

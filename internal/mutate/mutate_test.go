@@ -501,6 +501,21 @@ func TestVariantsPreventDeadCodeElimination(t *testing.T) {
 	}
 }
 
+// BenchmarkSameOutput checks alpha's unmutated addition region under
+// every valuation: one assembly, and one link and settling run of the
+// image that runs them all, per op.
+func BenchmarkSameOutput(b *testing.B) {
+	e, samples := setup(b, alpha.New())
+	s := samples["int.add.b_c"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.SameOutput(s, s.Region) {
+			b.Fatal("the unmutated region must reproduce its output")
+		}
+	}
+}
+
 // BenchmarkSameOutputVal checks alpha's unmutated addition region under
 // its base valuation: one assembly, link and settling run per op.
 func BenchmarkSameOutputVal(b *testing.B) {
