@@ -673,7 +673,10 @@ func (a *Analysis) touches(reg string, g int) bool {
 // $0, Alpha $31) — the feature the paper lists as unimplemented (§7.2).
 // The probe renames the move sample's data path onto each candidate: if
 // the program then prints the same constant under every valuation, writes
-// to the register are discarded and reads yield that constant.
+// to the register are discarded and reads yield that constant. Each
+// candidate is one run of the image that runs every valuation, against
+// the sample's reference output: an ordinary register reprints the moved
+// value b, which is that reference, so it settles in one run.
 func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
 	defer e.enter(anHardwired)()
 	out := map[string]int64{}
@@ -690,6 +693,8 @@ func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
 	if path == "" {
 		return out // a memory-to-memory machine (VAX): nothing to probe
 	}
+	s := a.Sample
+	init, want := s.Batch()
 	for _, cand := range e.Model.Registers {
 		if cand == path {
 			continue
@@ -698,35 +703,32 @@ func (e *Engine) DetectHardwired(a *Analysis) map[string]int64 {
 		for i := range mut {
 			mut[i].RenameReg(path, cand)
 		}
-		m := e.build(a.Sample, mut)
-		var value int64
-		hard := true
-		for vi := 0; vi < a.Sample.NumValuations(); vi++ {
-			outStr, err := e.run(m, a.Sample.Valuation(vi).InitSource, "")
-			if err != nil {
-				hard = false
-				break
-			}
-			var v int64
-			if _, err := fmt.Sscanf(outStr, "%d", &v); err != nil {
-				hard = false
-				break
-			}
-			if vi == 0 {
-				value = v
-			} else if v != value {
-				hard = false
-				break
-			}
-			// A normal register prints the moved value b.
-			if v == a.Sample.Valuation(vi).B {
-				hard = false
-				break
-			}
+		got, err := e.run(e.build(s, mut), init, want)
+		if err != nil {
+			continue
 		}
-		if hard {
-			out[cand] = value
+		if v, ok := hardwiredValue(s, splitLines(got, s.NumValuations())); ok {
+			out[cand] = v
 		}
 	}
 	return out
+}
+
+// hardwiredValue reads a hardwired register's value off the lines a
+// renamed move sample printed, one per valuation: every line must print
+// the same number, and none the moved value b, which a normal register
+// prints. nil lines (a malformed output) read as no value.
+func hardwiredValue(s *discovery.Sample, lines []string) (int64, bool) {
+	var value int64
+	for val, l := range lines {
+		var v int64
+		if _, err := fmt.Sscanf(l, "%d", &v); err != nil {
+			return 0, false
+		}
+		if val > 0 && v != value || v == s.Valuation(val).B {
+			return 0, false
+		}
+		value = v
+	}
+	return value, lines != nil
 }

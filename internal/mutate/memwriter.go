@@ -7,14 +7,19 @@ import (
 	"srcg/internal/discovery"
 )
 
+// memConsts are the two constants FindMemWriter plants, so that its
+// verdict cannot hold by accident.
+var memConsts = [2]int64{24683, -19751}
+
 // FindMemWriter locates the instruction that writes the sample's output
 // cell: a constant-store sequence (the const sample's region with a fresh
 // distinctive constant) is inserted at each boundary; the smallest
 // position where the program then prints the constant lies just past the
 // last writer. Two constants are planted so the verdict cannot hold by
-// accident. Each (position, constant) probe is assembled once and run
-// under every valuation that has not yet printed its constant. storeSeq
-// is the const sample's region; lit is its planted literal.
+// accident. Each (position, constant) probe is assembled once and linked
+// once, with the batched initializer, so one run prints every
+// valuation's line. storeSeq is the const sample's region; lit is its
+// planted literal.
 //
 // The probe's staging registers are renamed to registers the region never
 // mentions, for two reasons: a shared staging register would let a trailing
@@ -28,61 +33,67 @@ import (
 func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int64) {
 	defer e.enter(anMemWriter)()
 	a.AWriter = -1
-	staging := discovery.Registers(storeSeq)
-	fresh := e.freshRegisters(a.Region, len(staging)+4)
-	render := func(k int64, offset int) []discovery.Instr {
-		out := discovery.CloneInstrs(storeSeq)
-		rename := map[string]string{}
-		for i, r := range staging {
-			rename[r] = fresh[i+offset]
+	s := a.Sample
+	n := s.NumValuations()
+	nStaging := len(discovery.Registers(storeSeq))
+	fresh := e.freshRegisters(a.Region, nStaging+4)
+	init, _ := s.Batch()
+	// printed runs the j-th constant's probe at p, once, and returns
+	// which valuations printed the constant. The want is computed: the
+	// constant on the lines guess marks, each other valuation's
+	// ExpectedOut; a wrong guess only costs the quorum. If the run fails
+	// or prints other than one line per valuation, the valuations in vals
+	// are probed one at a time on the same mutant under Fig. 3's
+	// initializer instead, and the others count as misses.
+	printed := func(p *memProbe, j, pos, offset int, vals []int, guess []bool) []bool {
+		if p.m[j].s == nil {
+			p.m[j] = e.build(s, storeProbe(a.Region, storeSeq, lit, memConsts[j], fresh[offset:], pos))
 		}
-		for i := range out {
-			out[i].Labels = nil
-			for j := range out[i].Args {
-				arg := &out[i].Args[j]
-				if arg.Kind == discovery.KLit && arg.Lit == lit {
-					arg.Text = strings.Replace(arg.Text, fmt.Sprintf("%d", lit), fmt.Sprintf("%d", k), 1)
+		line := constLine(memConsts[j])
+		if p.out[j] == nil {
+			p.out[j] = make([]bool, n)
+			out, err := e.run(p.m[j], init, memWant(s, line, guess))
+			if lines := splitLines(out, n); err == nil && lines != nil {
+				for val, l := range lines {
+					p.out[j][val] = l == line
 				}
-				if to, ok := rename[arg.Text]; ok && arg.Kind == discovery.KReg {
-					arg.Text = to
-					arg.Regs = []string{to}
-				}
+				p.batched[j] = true
 			}
 		}
-		return out
+		if !p.batched[j] && p.m[j].err == nil {
+			for _, val := range vals {
+				p.out[j][val] = e.prints(p.m[j], s.Valuation(val).InitSource, line)
+			}
+		}
+		return p.out[j]
 	}
-	// The probe plants its constant itself, so what it prints on a hit is
-	// an exact reference: a first run printing it settles the probe.
-	ks := [2]int64{24683, -19751}
-	var wants [2]string
-	for j, k := range ks {
-		wants[j] = fmt.Sprintf("%d\n", int32(k))
-	}
-	// hit reports whether both constants' probes at pos print under val.
-	// probes holds the position's probes, each assembled on first use (a
-	// zero mutant is unbuilt) and reused under every later valuation.
-	hit := func(probes *[2]mutant, pos, val, offset int) bool {
-		for j, k := range ks {
-			if probes[j].s == nil {
-				region := discovery.CloneInstrs(a.Region)
-				for i, ins := range render(k, offset) {
-					region = Insert(region, pos+i, ins)
-				}
-				probes[j] = e.build(a.Sample, region)
-			}
-			if !e.prints(probes[j], a.Sample.Valuation(val).InitSource, wants[j]) {
-				return false
+	// probe runs p's probes for the valuations in vals: the first
+	// constant's, then the second's only if one of vals printed the first,
+	// guessing it wherever the first printed.
+	probe := func(p *memProbe, pos, offset int, vals []int, guess []bool) {
+		guess = printed(p, 0, pos, offset, vals, guess)
+		var next []int
+		for _, val := range vals {
+			if guess[val] {
+				next = append(next, val)
 			}
 		}
-		return true
+		if len(next) > 0 {
+			printed(p, 1, pos, offset, next, guess)
+		}
 	}
 	// Pick a register renaming the probe survives: at region end the probe
-	// runs unconditionally after every writer, so it must print k there.
+	// runs unconditionally after every writer, so valuation 0 must print
+	// both constants there, as every valuation is guessed to.
+	all := make([]bool, n)
+	for val := range all {
+		all[val] = true
+	}
 	offset := -1
-	var end [2]mutant
-	for o := 0; o+len(staging) <= len(fresh); o++ {
-		end = [2]mutant{}
-		if hit(&end, len(a.Region), 0, o) {
+	var end memProbe
+	for o := 0; o+nStaging <= len(fresh); o++ {
+		end = memProbe{}
+		if probe(&end, len(a.Region), o, []int{0}, all); end.hit(0) {
 			offset = o
 			break
 		}
@@ -91,39 +102,117 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 		return
 	}
 	// The store may sit on a conditionally executed path (a guarded
-	// assignment's taken direction skips it), so each valuation is probed
-	// and the latest writer wins: a valuation is resolved at the smallest
-	// position where the probe prints its constant.
-	unresolved := make([]int, a.Sample.NumValuations())
+	// assignment's taken direction skips it), so every valuation is read
+	// off and the latest writer wins: a valuation is resolved at the
+	// smallest position where it prints both constants. Until then each
+	// line's guess is whether the valuation printed the first constant at
+	// the previous probed position; at the first, none did.
+	unresolved := make([]int, n)
 	for val := range unresolved {
 		unresolved[val] = val
 	}
+	guess := make([]bool, n)
 	for pos := 0; pos <= len(a.Region) && len(unresolved) > 0; pos++ {
 		// Never split a delay-slotted pair.
 		if pos > 0 && a.Slotted[pos-1] {
 			continue
 		}
-		var probes [2]mutant
+		p := &memProbe{}
 		if pos == len(a.Region) {
-			probes = end // assembled while picking the renaming
+			p = &end // run while picking the renaming
 		}
+		probe(p, pos, offset, unresolved, guess)
 		still := unresolved[:0]
 		for _, val := range unresolved {
-			if !hit(&probes, pos, val, offset) {
+			if !p.hit(val) {
 				still = append(still, val)
-				continue
-			}
-			// The last writer is the nearest non-filler instruction before
-			// pos; pos == 0 means this valuation's path writes nothing.
-			for i := pos - 1; i >= 0; i-- {
-				if !a.Filler[i] {
-					if i > a.AWriter {
-						a.AWriter = i
-					}
-					break
-				}
 			}
 		}
-		unresolved = still
+		if len(still) < len(unresolved) {
+			a.AWriter = max(a.AWriter, lastWriter(a, pos))
+		}
+		unresolved, guess = still, p.out[0]
 	}
+}
+
+// memProbe is one position's pair of FindMemWriter probes: each
+// constant's mutant, assembled on first use, and which valuations printed
+// that constant (nil until it runs). batched records that one run of the
+// batched image settled every valuation's verdict.
+type memProbe struct {
+	m       [2]mutant
+	out     [2][]bool
+	batched [2]bool
+}
+
+// hit reports whether valuation val printed both constants, once the
+// first constant's probe has run.
+func (p *memProbe) hit(val int) bool {
+	return p.out[0][val] && p.out[1] != nil && p.out[1][val]
+}
+
+// lastWriter returns the nearest non-filler instruction before pos, the
+// last writer of a valuation resolved at pos; -1 at pos 0, where that
+// valuation's path writes nothing.
+func lastWriter(a *Analysis, pos int) int {
+	for i := pos - 1; i >= 0; i-- {
+		if !a.Filler[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// storeProbe returns region with storeSeq inserted before position pos,
+// its planted literal lit replaced by k and its staging registers renamed
+// in turn to fresh's.
+func storeProbe(region, storeSeq []discovery.Instr, lit, k int64, fresh []string, pos int) []discovery.Instr {
+	rename := map[string]string{}
+	for i, r := range discovery.Registers(storeSeq) {
+		rename[r] = fresh[i]
+	}
+	out := discovery.CloneInstrs(region)
+	for i, ins := range discovery.CloneInstrs(storeSeq) {
+		ins.Labels = nil
+		for j := range ins.Args {
+			arg := &ins.Args[j]
+			if arg.Kind == discovery.KLit && arg.Lit == lit {
+				arg.Text = strings.Replace(arg.Text, fmt.Sprintf("%d", lit), fmt.Sprintf("%d", k), 1)
+			}
+			if to, ok := rename[arg.Text]; ok && arg.Kind == discovery.KReg {
+				arg.Text = to
+				arg.Regs = []string{to}
+			}
+		}
+		out = Insert(out, pos+i, ins)
+	}
+	return out
+}
+
+// constLine is what the harness prints for a planted constant k.
+func constLine(k int64) string { return fmt.Sprintf("%d\n", int32(k)) }
+
+// memWant is the exact reference of a batched FindMemWriter probe: line,
+// the planted constant's, for each valuation guess marks, and every other
+// valuation's ExpectedOut. Both are computed, never observed.
+func memWant(s *discovery.Sample, line string, guess []bool) string {
+	var sb strings.Builder
+	for val, g := range guess {
+		if g {
+			sb.WriteString(line)
+		} else {
+			sb.WriteString(s.Valuation(val).ExpectedOut)
+		}
+	}
+	return sb.String()
+}
+
+// splitLines splits the output of an image that runs n valuations into
+// their lines, each with its newline, or returns nil unless it is exactly
+// n lines.
+func splitLines(out string, n int) []string {
+	if strings.Count(out, "\n") != n || !strings.HasSuffix(out, "\n") {
+		return nil
+	}
+	return strings.SplitAfter(out, "\n")[:n]
 }

@@ -144,10 +144,11 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 		t.Errorf("Analyze assembled the unmutated sample %d times; want once for all %d valuations", n, v)
 	}
 
-	// FindMemWriter assembles each (position, constant) probe once for
-	// every valuation it runs under. The probe prints a constant it
-	// planted itself, so on a clean rig a hit settles in one execute and
-	// only a miss runs the 2-run quorum.
+	// FindMemWriter assembles each (position, constant) probe once and
+	// links it at most once, with the initializer that hands out every
+	// valuation. Its want is computed, so on a clean rig a run that
+	// prints it settles in one execute and any other runs the 2-run
+	// quorum.
 	constA := analyze(t, e, samples["int.const.34117"])
 	tc.texts = map[string]int{}
 	stats, probes, execs := e.Rig.Stats(), e.Rig.ProbeStats(), tc.execs
@@ -164,6 +165,9 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 	if repeated > 0 {
 		t.Errorf("FindMemWriter assembled %d of its %d probes more than once; want each once for all %d valuations",
 			repeated, len(tc.texts), v)
+	}
+	if links := e.Rig.Stats().Links - stats.Links; links > len(tc.texts) {
+		t.Errorf("FindMemWriter linked %d images for its %d probes; want at most one per probe", links, len(tc.texts))
 	}
 	runs := e.Rig.Stats().Executions - stats.Executions
 	hits := e.Rig.ProbeStats().ExpectAccepts - probes.ExpectAccepts
@@ -526,6 +530,29 @@ func BenchmarkSameOutputVal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !e.SameOutputVal(s, s.Region, 0) {
 			b.Fatal("the unmutated region must reproduce its output")
+		}
+	}
+}
+
+// BenchmarkFindMemWriter finds the output-cell writer of alpha's addition
+// region with the constant sample's store: per op, one assembly, link and
+// run per (position, constant) probe, each run printing every valuation's
+// line.
+func BenchmarkFindMemWriter(b *testing.B) {
+	e, samples := setup(b, alpha.New())
+	a, err := e.Analyze(samples["int.add.b_c"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	constA, err := e.Analyze(samples["int.const.34117"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e.FindMemWriter(a, constA.Region, 34117); a.AWriter < 0 {
+			b.Fatal("no output-cell writer found")
 		}
 	}
 }
