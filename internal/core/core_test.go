@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"srcg/internal/dfg"
+	"srcg/internal/discovery"
 	"srcg/internal/mutate"
 	"srcg/internal/sem"
 	"srcg/internal/target"
@@ -187,4 +191,74 @@ func TestCostAccounting(t *testing.T) {
 	if st.CandidatesTried > 20000 {
 		t.Errorf("search tried %d candidates; heuristics ineffective", st.CandidatesTried)
 	}
+}
+
+// TestMachineFactsFromLexerRegions: the facts Discover learns before
+// mutation analysis come from the regions the lexer extracted. At seeds 1
+// and 2 on every target, dfg.BindSlots must bind what the binding rule
+// gives on the analyzed regions, and the const and move regions that the
+// writer search and the hardwired probe read must be the analyzed ones.
+func TestMachineFactsFromLexerRegions(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		for _, tt := range gauntletTargets {
+			d, err := Discover(tt.ctor(), Options{Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tt.arch, seed, err)
+			}
+			got, err := dfg.BindSlots(d.Samples)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tt.arch, seed, err)
+			}
+			if want := analyzedSlots(d); got != want || d.Slots != want {
+				t.Errorf("%s seed %d: BindSlots %+v, Discover %+v, analyzed regions %+v", tt.arch, seed, got, d.Slots, want)
+			}
+			for _, s := range d.Samples {
+				if a := d.Analyses[s.Name]; (s.Name == "int.const.34117" || s.Name == "int.move.b") && !reflect.DeepEqual(a.Region, s.Region) {
+					t.Errorf("%s seed %d: %s analyzed region %v, lexer region %v", tt.arch, seed, s.Name, a.Region, s.Region)
+				}
+			}
+		}
+	}
+}
+
+// analyzedSlots binds the variables' slots as Discover did when it read
+// the analyzed regions: the first analyzed constant sample with a unique
+// memory operand gives a, the move sample adds b, the add sample adds c.
+func analyzedSlots(d *Discovery) dfg.Slots {
+	memOps := func(name string) []string {
+		a, ok := d.Analyses[name]
+		if !ok {
+			return nil
+		}
+		var out []string
+		for i, ins := range a.Region {
+			for _, arg := range ins.Args {
+				if a.Filler[i] || arg.Kind != discovery.KMem && arg.Kind != discovery.KSym {
+					continue
+				}
+				if t := dfg.NormalizeAddr(arg.Text); !slices.Contains(out, t) {
+					out = append(out, t)
+				}
+			}
+		}
+		return out
+	}
+	var slots dfg.Slots
+	for _, s := range d.Samples {
+		if ops := memOps(s.Name); s.Kind == discovery.PConst && len(ops) == 1 {
+			slots.A = ops[0]
+			break
+		}
+	}
+	for _, t := range memOps("int.move.b") {
+		if t != slots.A {
+			slots.B = t
+		}
+	}
+	for _, t := range memOps("int.add.b_c") {
+		if t != slots.A && t != slots.B {
+			slots.C = t
+		}
+	}
+	return slots
 }

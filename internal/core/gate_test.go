@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"strings"
 	"testing"
 
 	"srcg/internal/asm"
 	"srcg/internal/check"
+	"srcg/internal/obs"
 	"srcg/internal/target"
 	"srcg/internal/target/x86"
 )
@@ -102,6 +105,48 @@ func TestCheckerGateRetriesAndDrops(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Error("no sample was ever dropped under quorum-disabled noise")
+	}
+}
+
+// TestCheckerGateWorkersByteIdentical: the checker gate's retries and
+// drops run inside each sample's pool task, so under
+// TestCheckerGateRetriesAndDrops' noise the pool at Workers 1 and at
+// parallelWorkers() must retry, drop and skip the same samples and emit
+// byte-identical traces. The noise is a pure function of each linked
+// image, so it hits the same runs on any schedule.
+func TestCheckerGateWorkersByteIdentical(t *testing.T) {
+	retried := 0
+	for _, seed := range []int64{1, 2, 3} {
+		var traces [2]bytes.Buffer
+		var ds [2]*Discovery
+		var errs [2]error
+		for i, workers := range []int{1, parallelWorkers()} {
+			tr := obs.New(nil, obs.NewJSONLSink(&traces[i]))
+			inj := imageNoise{Toolchain: x86.New(), seed: seed, rate: 0.03}
+			ds[i], errs[i] = Discover(inj, Options{Seed: 11, QuorumN: 1, Check: true, Trace: tr, Workers: workers})
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+			t.Fatalf("seed %d: discovery errors differ: %v vs %v", seed, errs[0], errs[1])
+		}
+		if errs[0] != nil {
+			continue // noise killed a bootstrap probe at both widths
+		}
+		d1, dn := ds[0], ds[1]
+		retried += d1.CheckRetried
+		if d1.CheckRetried != dn.CheckRetried || !maps.Equal(d1.Dropped, dn.Dropped) || !maps.Equal(d1.Skipped, dn.Skipped) {
+			t.Errorf("seed %d: workers 1 retried %d, dropped %v, skipped %v; workers %d retried %d, dropped %v, skipped %v",
+				seed, d1.CheckRetried, d1.Dropped, d1.Skipped, parallelWorkers(), dn.CheckRetried, dn.Dropped, dn.Skipped)
+		}
+		if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+			t.Errorf("seed %d: JSONL trace at workers=%d differs from serial run:\n%s",
+				seed, parallelWorkers(), firstDiffLine(traces[0].String(), traces[1].String()))
+		}
+	}
+	if retried == 0 {
+		t.Error("no analysis was retried; the gate went untested in the pool")
 	}
 }
 

@@ -131,6 +131,64 @@ type Slots struct {
 	A, B, C string
 }
 
+// BindSlots binds the sample variables a, b, c to their memory addresses
+// from the regions the lexer extracted: the first constant sample with a
+// unique memory operand gives a's slot, the move sample adds b's, and a
+// binary sample adds c's (§5.2.1's address-binding trick). It probes
+// nothing, so it can run before mutation analysis.
+func BindSlots(samples []*discovery.Sample) (Slots, error) {
+	var slots Slots
+	named := map[string]*discovery.Sample{}
+	for _, s := range samples {
+		named[s.Name] = s
+		if ops := memOperands(s); slots.A == "" && s.Kind == discovery.PConst && len(ops) == 1 {
+			slots.A = ops[0]
+		}
+	}
+	if slots.A == "" {
+		return slots, fmt.Errorf("dfg: could not bind variable a to a memory cell")
+	}
+	for _, t := range memOperands(named["int.move.b"]) {
+		if t != slots.A {
+			slots.B = t
+		}
+	}
+	if slots.B == "" {
+		return slots, fmt.Errorf("dfg: could not bind variable b to a memory cell")
+	}
+	for _, t := range memOperands(named["int.add.b_c"]) {
+		if t != slots.A && t != slots.B {
+			slots.C = t
+		}
+	}
+	if slots.C == "" {
+		return slots, fmt.Errorf("dfg: could not bind variable c to a memory cell")
+	}
+	return slots, nil
+}
+
+// memOperands returns the distinct normalized memory and symbol operands
+// of s's region in order of appearance; none for a nil sample.
+func memOperands(s *discovery.Sample) []string {
+	if s == nil {
+		return nil
+	}
+	var out []string
+	seen := map[string]bool{}
+	for _, ins := range s.Region {
+		for _, arg := range ins.Args {
+			if arg.Kind == discovery.KMem || arg.Kind == discovery.KSym {
+				t := normalizeAddr(arg.Text)
+				if !seen[t] {
+					seen[t] = true
+					out = append(out, t)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // Build constructs the graph for an analyzed sample.
 func Build(m *discovery.Model, a *mutate.Analysis, slots Slots) (*Graph, error) {
 	g := &Graph{

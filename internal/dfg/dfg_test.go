@@ -26,52 +26,20 @@ func pipeline(t *testing.T, tc target.Toolchain, name string) (*discovery.Model,
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots, err := BindSlots(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
 	engine := mutate.New(rig, model, rand.New(rand.NewSource(6)))
-	var slots Slots
-	var chosen *discovery.Sample
-	analyses := map[string]*mutate.Analysis{}
+	var a *mutate.Analysis
 	for _, s := range samples {
-		switch s.Name {
-		case "int.const.34117", "int.move.b", "int.add.b_c", name:
-			a, err := engine.Analyze(s)
-			if err != nil {
+		if s.Name == name {
+			if a, err = engine.Analyze(s); err != nil {
 				t.Fatalf("%s: %v", s.Name, err)
 			}
-			analyses[s.Name] = a
-			if s.Name == name {
-				chosen = s
-			}
 		}
 	}
-	// Slot binding as core does it.
-	memops := func(n string) []string {
-		var out []string
-		seen := map[string]bool{}
-		for _, ins := range analyses[n].Region {
-			for _, arg := range ins.Args {
-				if arg.Kind == discovery.KMem || arg.Kind == discovery.KSym {
-					t := NormalizeAddr(arg.Text)
-					if !seen[t] {
-						seen[t] = true
-						out = append(out, t)
-					}
-				}
-			}
-		}
-		return out
-	}
-	slots.A = memops("int.const.34117")[0]
-	for _, m := range memops("int.move.b") {
-		if m != slots.A {
-			slots.B = m
-		}
-	}
-	for _, m := range memops("int.add.b_c") {
-		if m != slots.A && m != slots.B {
-			slots.C = m
-		}
-	}
-	g, err := Build(model, analyses[chosen.Name], slots)
+	g, err := Build(model, a, slots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,10 +75,10 @@ func memWriterPerValuation(e *Engine, a *Analysis, storeSeq []discovery.Instr, l
 
 // hardwiredPerValuation is DetectHardwired running each candidate once
 // per valuation under Fig. 3's initializer and the full quorum.
-func hardwiredPerValuation(e *Engine, a *Analysis) map[string]int64 {
+func hardwiredPerValuation(e *Engine, s *discovery.Sample) map[string]int64 {
 	out := map[string]int64{}
 	path := ""
-	for _, ins := range a.Region {
+	for _, ins := range s.Region {
 		for _, arg := range ins.Args {
 			if arg.Kind == discovery.KReg && path == "" {
 				path = arg.Regs[0]
@@ -92,20 +92,20 @@ func hardwiredPerValuation(e *Engine, a *Analysis) map[string]int64 {
 		if cand == path {
 			continue
 		}
-		mut := discovery.CloneInstrs(a.Region)
+		mut := s.CloneRegion()
 		for i := range mut {
 			mut[i].RenameReg(path, cand)
 		}
-		m := e.build(a.Sample, mut)
+		m := e.build(s, mut)
 		var value int64
 		hard := true
-		for val := 0; val < a.Sample.NumValuations() && hard; val++ {
-			got, err := e.run(m, a.Sample.Valuation(val).InitSource, "")
+		for val := 0; val < s.NumValuations() && hard; val++ {
+			got, err := e.run(m, s.Valuation(val).InitSource, "")
 			var v int64
 			if err == nil {
 				_, err = fmt.Sscanf(got, "%d", &v)
 			}
-			hard = err == nil && (val == 0 || v == value) && v != a.Sample.Valuation(val).B
+			hard = err == nil && (val == 0 || v == value) && v != s.Valuation(val).B
 			value = v
 		}
 		if hard {
@@ -209,7 +209,7 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 					found++
 				}
 				if n == "int.move.b" {
-					got, want := e.DetectHardwired(a), hardwiredPerValuation(e, a)
+					got, want := e.DetectHardwired(a.Sample), hardwiredPerValuation(e, a.Sample)
 					if !maps.Equal(got, want) {
 						t.Errorf("hardwired registers %v, per-valuation rule %v", got, want)
 					}
@@ -270,7 +270,7 @@ func TestMemWriterWantsAreComputed(t *testing.T) {
 		m.shift, m.runs, m.outs = true, map[*asm.Image]int{}, map[*asm.Image]string{}
 		e.FindMemWriter(a, constA.Region, 34117)
 		if n == "int.move.b" {
-			e.DetectHardwired(a)
+			e.DetectHardwired(a.Sample)
 		}
 		m.shift = false
 		for img, out := range m.outs {
