@@ -102,26 +102,24 @@ func New(rig *discovery.Rig, m *discovery.Model, rnd *rand.Rand) *Engine {
 type Units map[string]*asm.Unit
 
 // CompileUnits compiles and assembles, in sample order, each distinct
-// unit the samples' mutants link: every valuation's initializer, the
-// batched initializer and the helpers. A source that fails is left out,
-// so an engine that needs it compiles it again and sees the error.
+// unit the samples' mutation analyses link: the base valuation's
+// initializer (the attribution probes'), the batched initializer and the
+// helpers. The other valuations' initializers serve only FindMemWriter's
+// fallback, which an engine compiles on demand. A source that fails is
+// left out, so an engine that needs it compiles it again and sees the
+// error.
 func CompileUnits(rig *discovery.Rig, samples []*discovery.Sample) Units {
 	t := Units{}
-	add := func(src string) {
-		if _, ok := t[src]; ok {
-			return
-		}
-		if u, err := compileUnit(rig, src); err == nil {
-			t[src] = u
-		}
-	}
 	for _, s := range samples {
-		for val := 0; val < s.NumValuations(); val++ {
-			add(s.Valuation(val).InitSource)
-		}
 		init, _ := s.Batch()
-		add(init)
-		add(s.HelperSource)
+		for _, src := range []string{s.InitSource, init, s.HelperSource} {
+			if _, ok := t[src]; ok {
+				continue
+			}
+			if u, err := compileUnit(rig, src); err == nil {
+				t[src] = u
+			}
+		}
 	}
 	return t
 }
