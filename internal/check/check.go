@@ -118,56 +118,6 @@ const (
 	CodeStructuralInvariant = "SA025"
 )
 
-// CodeInfo describes one stable diagnostic code for tools that render or
-// gate on findings without hard-coding the code list.
-type CodeInfo struct {
-	Code    string
-	Summary string
-}
-
-// registry is the single authoritative list of diagnostic codes. Tests
-// assert every Code* constant appears here, so adding a code without
-// registering it fails fast.
-var registry = []CodeInfo{
-	{CodeDanglingProducer, "input port's producer does not dominate the use"},
-	{CodeDeadRegisterUse, "register read with no reaching definition or live-in evidence"},
-	{CodeHiddenChannel, "hidden-channel endpoint without its partner"},
-	{CodeLabelResolution, "label does not resolve to a step in the region"},
-	{CodeAttributionMismatch, "static and mutation-derived dataflow disagree"},
-	{CodeDeadDefinition, "definition no reachable step reads"},
-	{CodeDuplicateTemplate, "two operations share one instruction sequence"},
-	{CodeImmediateRange, "template immediate outside the probed operand range"},
-	{CodeRegisterClassOverlap, "template scratch registers overlap the frame-base class"},
-	{CodeUnwitnessedMode, "template operand uses an addressing mode no sample witnessed"},
-	{CodeUnpairedHiddenConsumer, "hidden-value consumer emitted without its producer"},
-	{CodeSampleDropped, "sample dropped after exhausting checker-gated retries"},
-	{CodeUncoveredDemand, "front-end demand unreachable through any finite rule chain"},
-	{CodeDeadRule, "rule no front-end demand can reach"},
-	{CodeShadowedRule, "rule always subsumed by an earlier rule"},
-	{CodeRewriteCycle, "rewrite chain can loop without decreasing cost"},
-	{CodeFootprintMismatch, "template footprint contradicts mutation-analysis attribution"},
-	{CodeStructuralInvariant, "machine description breaks a structural invariant"},
-}
-
-// Registry returns every registered diagnostic code with its summary,
-// sorted by code.
-func Registry() []CodeInfo {
-	out := make([]CodeInfo, len(registry))
-	copy(out, registry)
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
-}
-
-// Describe looks up the registry entry for a diagnostic code.
-func Describe(code string) (CodeInfo, bool) {
-	for _, ci := range registry {
-		if ci.Code == code {
-			return ci, true
-		}
-	}
-	return CodeInfo{}, false
-}
-
 // Diagnostic is one finding with a stable code and a location.
 type Diagnostic struct {
 	Code     string

@@ -218,9 +218,6 @@ func (p *Prober) latch() {
 	p.mu.Unlock()
 }
 
-// Toolchain returns the wrapped toolchain.
-func (p *Prober) Toolchain() target.Toolchain { return p.tc }
-
 // Tracer returns the telemetry tracer all probe events flow to.
 func (p *Prober) Tracer() *obs.Tracer { return p.tr }
 
