@@ -6,12 +6,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"srcg/internal/mutate"
 )
 
 // TestProbeBudgetGolden pins what a clean seed-1 discovery of each target
 // spends: toolchain calls (ProbeStats.Attempts), assemblies, links and
-// mutant runs. A change that adds round-trips fails here instead of only
-// moving a benchmark number; regenerate with
+// mutant runs, and the mutant runs of each §4 analysis, so a diff names
+// the analysis that moved. A change that adds round-trips fails here
+// instead of only moving a benchmark number; regenerate with
 //
 //	SRCG_UPDATE_GOLDEN=1 go test ./internal/core -run TestProbeBudgetGolden
 //
@@ -31,6 +34,11 @@ func TestProbeBudgetGolden(t *testing.T) {
 		st := d.Rig.Stats()
 		fmt.Fprintf(&sb, "%-6s attempts=%d assemblies=%d links=%d mutations=%d\n",
 			tt.arch, d.ProbeStats.Attempts, st.Assemblies, st.Links, st.Mutations)
+		fmt.Fprintf(&sb, "%-6s runs:", tt.arch)
+		for _, an := range mutate.AnalysisNames {
+			fmt.Fprintf(&sb, " %s=%d", an, d.Trace.Counter(mutate.RunsCounter(an)))
+		}
+		sb.WriteString("\n")
 	}
 	got := sb.String()
 	golden := filepath.Join("testdata", "probe_budget.txt")

@@ -196,8 +196,9 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 	d.Engine = engine
 
 	// Phase 2 — mutation analysis. The machine facts come first, from
-	// the regions the lexer extracted: the variables' slots, the store
-	// sequence the writer search plants, and the hardwired registers.
+	// the regions the lexer extracted: the variables' slots and their
+	// base registers (Model.Frame), the store sequence the writer search
+	// plants, and the hardwired registers.
 	// Then every sample's whole pipeline, from mutation analysis to its
 	// checked data-flow graph, runs as one pool task.
 	err = tr.Phase(obs.PhaseMutationAnalysis, func() error {
@@ -206,6 +207,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			return err
 		}
 		d.Slots = slots
+		model.Frame = lexer.ClassifyText(model, slots.A).Regs
 		p := preprocessor{model: model, slots: slots}
 		var move *discovery.Sample
 		work := make([]*discovery.Sample, 0, len(samples))
@@ -247,14 +249,10 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 		// lexer bootstrap's few runs missed trips the noisy latch here,
 		// and the probes below run after it, so no mutant on that machine
 		// settles on a single run (DESIGN §7). Only the verdict crosses to
-		// the analysis. QuorumN=1 forms no quorum, so there is no latch to
-		// trip and no batch: each analysis checks its own baseline.
-		var baselines []error
-		if opts.QuorumN != 1 {
-			baselines = pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) error {
-				return newEngine(sub, nil).CheckBaseline(work[i])
-			})
-		}
+		// the analysis.
+		baselines := pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) error {
+			return newEngine(sub, nil).CheckBaseline(work[i])
+		})
 		// Hardwired-register detection (the paper's declared missing piece,
 		// §7.2, implemented here as an extension).
 		if move != nil {
@@ -266,12 +264,10 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 		results := pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) preprocessed {
 			s := work[i]
 			eng := newEngine(sub, rand.New(rand.NewSource(sampleSeed(opts.Seed, s.Name))))
-			if baselines != nil {
-				if baselines[i] != nil {
-					return preprocessed{skip: baselines[i].Error()}
-				}
-				eng.AssumeBaseline(s)
+			if baselines[i] != nil {
+				return preprocessed{skip: baselines[i].Error()}
 			}
+			eng.AssumeBaseline(s)
 			a, g, err := p.run(eng, s)
 			if err != nil {
 				return preprocessed{a: a, skip: err.Error()}

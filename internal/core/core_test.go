@@ -9,6 +9,7 @@ import (
 
 	"srcg/internal/dfg"
 	"srcg/internal/discovery"
+	"srcg/internal/lexer"
 	"srcg/internal/mutate"
 	"srcg/internal/sem"
 	"srcg/internal/target"
@@ -196,8 +197,9 @@ func TestCostAccounting(t *testing.T) {
 // TestMachineFactsFromLexerRegions: the facts Discover learns before
 // mutation analysis come from the regions the lexer extracted. At seeds 1
 // and 2 on every target, dfg.BindSlots must bind what the binding rule
-// gives on the analyzed regions, and the const and move regions that the
-// writer search and the hardwired probe read must be the analyzed ones.
+// gives on the analyzed regions, Model.Frame must be the base registers of
+// each of the three slots, and the const and move regions that the writer
+// search and the hardwired probe read must be the analyzed ones.
 func TestMachineFactsFromLexerRegions(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		for _, tt := range gauntletTargets {
@@ -211,6 +213,11 @@ func TestMachineFactsFromLexerRegions(t *testing.T) {
 			}
 			if want := analyzedSlots(d); got != want || d.Slots != want {
 				t.Errorf("%s seed %d: BindSlots %+v, Discover %+v, analyzed regions %+v", tt.arch, seed, got, d.Slots, want)
+			}
+			for _, slot := range []string{d.Slots.A, d.Slots.B, d.Slots.C} {
+				if base := lexer.ClassifyText(d.Model, slot).Regs; len(base) == 0 || !slices.Equal(d.Model.Frame, base) {
+					t.Errorf("%s seed %d: Model.Frame %v, slot %s has base registers %v", tt.arch, seed, d.Model.Frame, slot, base)
+				}
 			}
 			for _, s := range d.Samples {
 				if a := d.Analyses[s.Name]; (s.Name == "int.const.34117" || s.Name == "int.move.b") && !reflect.DeepEqual(a.Region, s.Region) {

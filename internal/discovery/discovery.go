@@ -319,6 +319,9 @@ type Model struct {
 	// Hardwired maps registers with immutable values to those values
 	// (SPARC %g0, MIPS $0, Alpha $31 are always zero).
 	Hardwired map[string]int64
+	// Frame holds the base registers of the variables' cells (§5.2.1's
+	// slots). The harness prints a through them after the region.
+	Frame []string
 	// Modes are the discovered addressing-mode shapes (ModeShape strings).
 	Modes []string
 }
@@ -341,20 +344,6 @@ type Stats struct {
 	SolvedByMatch   int
 	SolvedBySearch  int
 	Timeouts        int
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Samples += other.Samples
-	s.Compiles += other.Compiles
-	s.Assemblies += other.Assemblies
-	s.Links += other.Links
-	s.Executions += other.Executions
-	s.Mutations += other.Mutations
-	s.CandidatesTried += other.CandidatesTried
-	s.SolvedByMatch += other.SolvedByMatch
-	s.SolvedBySearch += other.SolvedBySearch
-	s.Timeouts += other.Timeouts
 }
 
 func (s Stats) String() string {

@@ -116,14 +116,10 @@ func TestReplaceTokenNeverChangesLength(t *testing.T) {
 	}
 }
 
-func TestStatsAddString(t *testing.T) {
-	a := Stats{Samples: 1, Compiles: 2, Executions: 3, CandidatesTried: 4}
-	b := Stats{Samples: 10, Mutations: 5}
-	a.Add(b)
-	if a.Samples != 11 || a.Mutations != 5 || a.CandidatesTried != 4 {
-		t.Errorf("Add = %+v", a)
-	}
-	if a.String() == "" {
-		t.Error("empty String")
+func TestStatsString(t *testing.T) {
+	st := Stats{Samples: 11, Compiles: 2, Executions: 3, Mutations: 5, CandidatesTried: 4}
+	want := "samples=11 compiles=2 assemblies=0 links=0 executions=3 mutations=5 candidates=4"
+	if got := st.String(); got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }

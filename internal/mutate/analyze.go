@@ -92,9 +92,16 @@ func (e *Engine) inertReg(s *discovery.Sample, region []discovery.Instr) (string
 
 // clobberSafe reports whether clobbering r at region start preserves the
 // output under two random values. Both values are drawn before the first
-// probe, so the random stream does not depend on which one breaks.
+// probe, so the random stream does not depend on which one breaks. A
+// hardwired register, whose writes the machine discards, is safe without a
+// probe; it still draws both values, so the delay-slot fillers drawn after
+// inertReg's pick keep their constants.
 func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r string) bool {
-	for _, k := range e.clobberValues(2) {
+	ks := e.clobberValues(2)
+	if e.hardwired(r) {
+		return true
+	}
+	for _, k := range ks {
 		if !e.SameOutput(s, Insert(region, 0, e.ClobberInstr(r, k))) {
 			return false
 		}
@@ -249,19 +256,51 @@ func shiftSet(set map[int]bool, removed int) map[int]bool {
 	return out
 }
 
-// safeClobberRegs returns the region's registers whose clobbering at region
-// start (two variants) preserves the output — i.e. registers that are dead
-// on entry and safe to randomize. Stack and frame pointers exclude
-// themselves naturally.
+// safeClobberRegs returns the region's studied registers whose clobbering
+// at region start (two variants) preserves the output — i.e. registers
+// that are dead on entry and safe to randomize. A stack pointer excludes
+// itself naturally.
 func (e *Engine) safeClobberRegs(s *discovery.Sample, region []discovery.Instr) []string {
 	defer e.enter(anSafeSet)()
 	var out []string
-	for _, r := range discovery.Registers(region) {
+	for _, r := range e.studiedRegisters(region) {
 		if e.clobberSafe(s, region, r) {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// studiedRegisters lists the region's registers whose liveness the clobber
+// analyses study: discovery.Registers, less those the machine facts
+// already decide. A hardwired register is dead at every boundary and never
+// unsafe to clobber. A frame register that the region names only inside
+// memory operands is never written there and is read after it, so it is
+// live at every boundary. A register left out draws no clobber values;
+// the values drawn after delay-slot normalization never reach an MD.
+func (e *Engine) studiedRegisters(region []discovery.Instr) []string {
+	return slices.DeleteFunc(discovery.Registers(region), func(r string) bool {
+		return e.hardwired(r) || slices.Contains(e.Model.Frame, r) && onlyBase(region, r)
+	})
+}
+
+// hardwired reports whether r is one of the model's hardwired registers.
+func (e *Engine) hardwired(r string) bool {
+	_, ok := e.Model.Hardwired[r]
+	return ok
+}
+
+// onlyBase reports whether every operand of region that names r is a
+// memory operand.
+func onlyBase(region []discovery.Instr, r string) bool {
+	for _, ins := range region {
+		for _, a := range ins.Args {
+			if a.Kind != discovery.KMem && slices.Contains(a.Regs, r) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // rebuildGroups forms execution units: a delay-slotted transfer plus its
@@ -307,8 +346,8 @@ func (a *Analysis) insertAtGroup(g int, ins discovery.Instr) []discovery.Instr {
 }
 
 // scanRegisters performs the clobber-scan liveness analysis and the
-// implicit-argument attributions of §4.4/§4.5 for every register of
-// interest.
+// implicit-argument attributions of §4.4/§4.5 for every studied register
+// (studiedRegisters).
 //
 // A boundary is dead when clobbering the register there preserves the
 // output under fixedClobber, its negation and a random value of the
@@ -330,7 +369,7 @@ func (e *Engine) scanRegisters(a *Analysis) {
 		}
 		return ins
 	}
-	for _, reg := range discovery.Registers(a.Region) {
+	for _, reg := range e.studiedRegisters(a.Region) {
 		// Drawn before any probe, so the random stream does not depend
 		// on the verdicts.
 		rnd := make([]int64, n)

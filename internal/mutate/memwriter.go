@@ -2,6 +2,7 @@ package mutate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"srcg/internal/discovery"
@@ -27,16 +28,17 @@ var memConsts = [2]int64{24683, -19751}
 // probe also used $1 — the writer would appear one position early), and a
 // leftover probe value in a region register would perturb later consumers
 // (a MIPS bge reading the probe's $9 flips the branch and fakes a hit).
-// Renamings that break the probe itself (hardwired or class-restricted
-// registers) are rejected by requiring the probe to work at region end,
-// where it must always print the constant.
+// Hardwired registers are never staging registers. Renamings that break
+// the probe otherwise (class-restricted registers) are rejected by
+// requiring the probe to work at region end, where it must always print
+// the constant.
 func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int64) {
 	defer e.enter(anMemWriter)()
 	a.AWriter = -1
 	s := a.Sample
 	n := s.NumValuations()
 	nStaging := len(discovery.Registers(storeSeq))
-	fresh := e.freshRegisters(a.Region, nStaging+4)
+	fresh := slices.DeleteFunc(e.freshRegisters(a.Region, nStaging+4), e.hardwired)
 	init, _ := s.Batch()
 	// printed runs the j-th constant's probe at p, once, and returns
 	// which valuations printed the constant. The want is computed: the
