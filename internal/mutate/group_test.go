@@ -20,13 +20,15 @@ import (
 )
 
 // jointBreaker rejects, while armed, every text holding a joint mutant:
-// two or more clobbers of one register whose values are not known. The
-// known values are those a singleton probe or the region itself carries:
-// the fixed clobber, findRepair's trash value and hidden constants, the
-// sample's own text, and its delay-slot fillers once the normalized region
-// has been assembled. Before that, a filler's value is one of the delay
-// analysis's joint filler values. Only a group test's clobbers are
-// unknown twice.
+// two or more clobbers of one register whose values are not known, or
+// two or more of one register with ±fixedClobber. The known values are
+// those a singleton probe or the region itself carries: the fixed clobber,
+// findRepair's trash value and hidden constants, the sample's own text,
+// and its delay-slot fillers once the normalized region has been
+// assembled. Before that, a filler's value is one of the delay analysis's
+// joint filler values. Only a group test's clobbers are unknown twice, and
+// only the scan's text-predicted group repeats the fixed clobber:
+// attribution pairs it with a repair constant, never a second fixed one.
 type jointBreaker struct {
 	target.Toolchain
 	armed      bool
@@ -72,10 +74,19 @@ func (j *jointBreaker) joint(text string) bool {
 	if !ok {
 		return false // not a mutant: a valuation's initializer
 	}
-	unknown := map[string]int{}
+	unknown, fixed := map[string]int{}, map[string]int{}
 	for _, line := range strings.Split(body, "\n") {
-		if reg, v, ok := j.clobber(line); ok && !j.known[v] {
+		reg, v, ok := j.clobber(line)
+		if !ok {
+			continue
+		}
+		if !j.known[v] {
 			if unknown[reg]++; unknown[reg] > 1 {
+				return true
+			}
+		}
+		if v == fixedClobber || v == -fixedClobber {
+			if fixed[reg]++; fixed[reg] > 1 {
 				return true
 			}
 		}
