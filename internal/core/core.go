@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -293,10 +294,11 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 				}
 			}
 			if countErrors(diags) > 0 {
+				reason := firstError(diags).String()
 				sub.Trace().Count(CtrSamplesDropped, 1)
-				sub.Trace().DropEvent(s.Name, diags[0].String())
+				sub.Trace().DropEvent(s.Name, reason)
 				return preprocessed{dropped: true, skip: fmt.Sprintf("dropped by checker gate after %d retries: %s",
-					DefaultCheckRetries, diags[0].String())}
+					DefaultCheckRetries, reason)}
 			}
 			return preprocessed{a: a, g: g}
 		})
@@ -425,6 +427,13 @@ func (d *Discovery) MDVerify() []check.Diagnostic {
 		d.Attrib = dfg.BuildAttrib(d.Model, d.Analyses, d.Slots)
 	}
 	return mdverify.Verify(d.Model, d.Spec, d.Attrib)
+}
+
+// firstError returns the first Error-severity diagnostic, the one a
+// dropped sample's reason names; diags holds at least one.
+func firstError(diags []check.Diagnostic) check.Diagnostic {
+	i := slices.IndexFunc(diags, func(dg check.Diagnostic) bool { return dg.Severity == check.Error })
+	return diags[i]
 }
 
 // countErrors counts Error-severity diagnostics.

@@ -77,9 +77,11 @@ func (n imageNoise) aimed(img *asm.Image) bool {
 // suspect graphs or aborting. Which runs the noise hits depends on the
 // seed, so the assertions aggregate over seeds and check structural
 // invariants rather than exact counts. The aimed noise follows int.neg.b
-// through its retries, so a drop does not depend on the seed.
+// through its retries, so a drop does not depend on the seed. A drop's
+// reason names an error, the kind of diagnostic that condemned the graph,
+// even where a warning comes first (int.neg.b's SA006).
 func TestCheckerGateRetriesAndDrops(t *testing.T) {
-	retried, dropped := 0, 0
+	retried, dropped, negDropped := 0, 0, 0
 	for _, seed := range []int64{1, 2, 3} {
 		inj := newImageNoise(seed)
 		d, err := Discover(inj, Options{Seed: 11, QuorumN: 1, Check: true})
@@ -93,6 +95,12 @@ func TestCheckerGateRetriesAndDrops(t *testing.T) {
 		for name, reason := range d.Dropped {
 			if d.Skipped[name] != reason {
 				t.Errorf("seed %d: dropped sample %s missing from Skipped", seed, name)
+			}
+			if !strings.Contains(reason, " error "+name) {
+				t.Errorf("seed %d: dropped sample %s's reason names no error: %s", seed, name, reason)
+			}
+			if name == "int.neg.b" {
+				negDropped++
 			}
 			if _, ok := d.Analyses[name]; ok {
 				t.Errorf("seed %d: dropped sample %s still has an analysis", seed, name)
@@ -134,6 +142,9 @@ func TestCheckerGateRetriesAndDrops(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Error("no sample was ever dropped under quorum-disabled noise")
+	}
+	if negDropped == 0 {
+		t.Error("the aimed noise never dropped int.neg.b; its reason went unchecked")
 	}
 }
 

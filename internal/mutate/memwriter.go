@@ -14,13 +14,16 @@ var memConsts = [2]int64{24683, -19751}
 
 // FindMemWriter locates the instruction that writes the sample's output
 // cell: a constant-store sequence (the const sample's region with a fresh
-// distinctive constant) is inserted at each boundary; the smallest
-// position where the program then prints the constant lies just past the
-// last writer. Two constants are planted so the verdict cannot hold by
-// accident. Each (position, constant) probe is assembled once and linked
-// once, with the batched initializer, so one run prints every
-// valuation's line. storeSeq is the const sample's region; lit is its
-// planted literal.
+// distinctive constant) is inserted at a boundary, and the program then
+// prints the constant exactly when nothing on the valuation's path writes
+// the cell after it. The walk starts at region end, where every writer
+// has run, and steps back one boundary at a time until a valuation no
+// longer prints the constant; the last writer lies just before the
+// boundary probed before that one. Two constants are planted so the
+// verdict cannot hold by accident. Each (position, constant) probe is
+// assembled once and linked once, with the batched initializer, so one
+// run prints every valuation's line. storeSeq is the const sample's
+// region; lit is its planted literal.
 //
 // The probe's staging registers are renamed to registers the region never
 // mentions, for two reasons: a shared staging register would let a trailing
@@ -86,16 +89,18 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 	}
 	// Pick a register renaming the probe survives: at region end the probe
 	// runs unconditionally after every writer, so valuation 0 must print
-	// both constants there, as every valuation is guessed to.
+	// both constants there, as every valuation is guessed to. The pick
+	// reads every valuation's verdict, which the walk starts from.
 	all := make([]bool, n)
+	vals := make([]int, n)
 	for val := range all {
-		all[val] = true
+		all[val], vals[val] = true, val
 	}
 	offset := -1
 	var end memProbe
 	for o := 0; o+nStaging <= len(fresh); o++ {
 		end = memProbe{}
-		if probe(&end, len(a.Region), o, []int{0}, all); end.hit(0) {
+		if probe(&end, len(a.Region), o, vals, all); end.hit(0) {
 			offset = o
 			break
 		}
@@ -103,38 +108,47 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 	if offset < 0 {
 		return
 	}
-	// The store may sit on a conditionally executed path (a guarded
-	// assignment's taken direction skips it), so every valuation is read
-	// off and the latest writer wins: a valuation is resolved at the
-	// smallest position where it prints both constants. Until then each
-	// line's guess is whether the valuation printed the first constant at
-	// the previous probed position; at the first, none did.
-	unresolved := make([]int, n)
-	for val := range unresolved {
-		unresolved[val] = val
+	// Every valuation that printed both constants at region end takes
+	// part. The store may sit on a conditionally executed path (a guarded
+	// assignment's taken direction skips it), so the walk stops at the
+	// first probed position where any of them misses, and the latest
+	// writer wins: the last writer before the position probed before it.
+	// Each line's guess is whether the valuation printed the first
+	// constant at that later position.
+	live := slices.DeleteFunc(vals, func(val int) bool { return !end.hit(val) })
+	low := 0
+	if namedTwice(a.Region, storeSeq) {
+		// Only a region that names the output cell twice can read the
+		// cell and write back what it read, and on such a path a store
+		// planted at 0 prints while one between the read and the writer
+		// misses. A valuation that prints both constants at 0 has no
+		// writer on its path, so it leaves the walk.
+		p := &memProbe{}
+		probe(p, 0, offset, live, make([]bool, n))
+		live = slices.DeleteFunc(live, p.hit)
+		low = 1
 	}
-	guess := make([]bool, n)
-	for pos := 0; pos <= len(a.Region) && len(unresolved) > 0; pos++ {
-		// Never split a delay-slotted pair.
-		if pos > 0 && a.Slotted[pos-1] {
+	if len(live) == 0 {
+		return
+	}
+	every := func(out []bool) bool {
+		return !slices.ContainsFunc(live, func(val int) bool { return !out[val] })
+	}
+	prev, guess := len(a.Region), end.out[0]
+	for pos := len(a.Region) - 1; pos >= low; pos-- {
+		// Never split a delay-slotted pair. A probe just before a
+		// label-only instruction is off the path of every valuation that
+		// jumps to the label, so its miss says nothing about writers.
+		if pos > 0 && a.Slotted[pos-1] || a.Region[pos].Op == "" {
 			continue
 		}
 		p := &memProbe{}
-		if pos == len(a.Region) {
-			p = &end // run while picking the renaming
+		if !every(printed(p, 0, pos, offset, live, guess)) || !every(printed(p, 1, pos, offset, live, p.out[0])) {
+			break
 		}
-		probe(p, pos, offset, unresolved, guess)
-		still := unresolved[:0]
-		for _, val := range unresolved {
-			if !p.hit(val) {
-				still = append(still, val)
-			}
-		}
-		if len(still) < len(unresolved) {
-			a.AWriter = max(a.AWriter, lastWriter(a, pos))
-		}
-		unresolved, guess = still, p.out[0]
+		prev, guess = pos, p.out[0]
 	}
+	a.AWriter = lastWriter(a, prev)
 }
 
 // memProbe is one position's pair of FindMemWriter probes: each
@@ -153,16 +167,36 @@ func (p *memProbe) hit(val int) bool {
 	return p.out[0][val] && p.out[1] != nil && p.out[1][val]
 }
 
-// lastWriter returns the nearest non-filler instruction before pos, the
-// last writer of a valuation resolved at pos; -1 at pos 0, where that
-// valuation's path writes nothing.
+// lastWriter returns the nearest instruction before pos that can write:
+// neither filler nor label-only. -1 when there is none, where the path
+// writes nothing.
 func lastWriter(a *Analysis, pos int) int {
 	for i := pos - 1; i >= 0; i-- {
-		if !a.Filler[i] {
+		if !a.Filler[i] && a.Region[i].Op != "" {
 			return i
 		}
 	}
 	return -1
+}
+
+// namedTwice reports whether two or more of region's instructions name
+// the memory cell storeSeq stores to, the output cell.
+func namedTwice(region, storeSeq []discovery.Instr) bool {
+	var cell string
+	for _, ins := range storeSeq {
+		for _, arg := range ins.Args {
+			if arg.Kind == discovery.KMem {
+				cell = arg.Text
+			}
+		}
+	}
+	names := 0
+	for _, ins := range region {
+		if slices.ContainsFunc(ins.Args, func(arg discovery.Operand) bool { return arg.Kind == discovery.KMem && arg.Text == cell }) {
+			names++
+		}
+	}
+	return names > 1
 }
 
 // storeProbe returns region with storeSeq inserted before position pos,

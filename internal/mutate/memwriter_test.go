@@ -3,7 +3,8 @@ package mutate
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,36 +19,48 @@ import (
 	"srcg/internal/target/x86"
 )
 
-// memWriterPerValuation is FindMemWriter probing one valuation at a
-// time: each (position, constant) probe links Fig. 3's one-valuation
-// initializer once per unresolved valuation. It returns the writer.
-func memWriterPerValuation(e *Engine, a *Analysis, storeSeq []discovery.Instr, lit int64) int {
-	writer := -1
+// memHits is the oracle the reference walks read, FindMemWriter's probes
+// one valuation at a time: hit(pos, val) reports whether valuation val,
+// linked alone with Fig. 3's initializer, prints both planted constants
+// with the store inserted before position pos. Each (position, constant)
+// mutant is assembled once. ok is false when no register renaming
+// survives at region end.
+func memHits(e *Engine, a *Analysis, storeSeq []discovery.Instr, lit int64) (hit func(pos, val int) bool, ok bool) {
 	nStaging := len(discovery.Registers(storeSeq))
 	fresh := e.freshRegisters(a.Region, nStaging+4)
-	hit := func(probes *[2]mutant, pos, val, offset int) bool {
+	probes := map[int]*[2]mutant{}
+	offset := 0
+	hit = func(pos, val int) bool {
+		if probes[pos] == nil {
+			probes[pos] = &[2]mutant{}
+		}
 		for j, k := range memConsts {
-			if probes[j].s == nil {
-				probes[j] = e.build(a.Sample, storeProbe(a.Region, storeSeq, lit, k, fresh[offset:], pos))
+			m := &probes[pos][j]
+			if m.s == nil {
+				*m = e.build(a.Sample, storeProbe(a.Region, storeSeq, lit, k, fresh[offset:], pos))
 			}
-			if !e.prints(probes[j], a.Sample.Valuation(val).InitSource, constLine(k)) {
+			if !e.prints(*m, a.Sample.Valuation(val).InitSource, constLine(k)) {
 				return false
 			}
 		}
 		return true
 	}
-	offset := -1
-	var end [2]mutant
-	for o := 0; o+nStaging <= len(fresh); o++ {
-		end = [2]mutant{}
-		if hit(&end, len(a.Region), 0, o) {
-			offset = o
-			break
+	for ; offset+nStaging <= len(fresh); offset++ {
+		delete(probes, len(a.Region))
+		if hit(len(a.Region), 0) {
+			return hit, true
 		}
 	}
-	if offset < 0 {
-		return writer
-	}
+	return nil, false
+}
+
+// forwardWalk is the output-writer walk from position 0 up, the
+// reference for FindMemWriter's walk from region end. It skips positions
+// that split a delay-slotted pair, resolves each valuation at the
+// smallest position where it hits, and returns the latest of their last
+// writers, read by forwardLastWriter.
+func forwardWalk(a *Analysis, hit func(pos, val int) bool) int {
+	writer := -1
 	unresolved := make([]int, a.Sample.NumValuations())
 	for val := range unresolved {
 		unresolved[val] = val
@@ -56,21 +69,62 @@ func memWriterPerValuation(e *Engine, a *Analysis, storeSeq []discovery.Instr, l
 		if pos > 0 && a.Slotted[pos-1] {
 			continue
 		}
-		var probes [2]mutant
-		if pos == len(a.Region) {
-			probes = end
-		}
 		still := unresolved[:0]
 		for _, val := range unresolved {
-			if !hit(&probes, pos, val, offset) {
+			if !hit(pos, val) {
 				still = append(still, val)
 				continue
 			}
-			writer = max(writer, lastWriter(a, pos))
+			writer = max(writer, forwardLastWriter(a, pos))
 		}
 		unresolved = still
 	}
 	return writer
+}
+
+// forwardLastWriter is lastWriter without the label skip: the nearest
+// non-filler instruction before pos, label-only ones included.
+func forwardLastWriter(a *Analysis, pos int) int {
+	for i := pos - 1; i >= 0; i-- {
+		if !a.Filler[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// plainBackwardWalk is the backward walk without the label rule: it
+// probes every position from region end down, except those that split a
+// delay-slotted pair, and stops at the first where a valuation that hit
+// at region end misses, reading the writer with forwardLastWriter.
+func plainBackwardWalk(a *Analysis, hit func(pos, val int) bool) int {
+	var live []int
+	for val := range a.Sample.NumValuations() {
+		if hit(len(a.Region), val) {
+			live = append(live, val)
+		}
+	}
+	prev := len(a.Region)
+	for pos := prev - 1; pos >= 0; pos-- {
+		if pos > 0 && a.Slotted[pos-1] {
+			continue
+		}
+		if slices.ContainsFunc(live, func(val int) bool { return !hit(pos, val) }) {
+			break
+		}
+		prev = pos
+	}
+	return forwardLastWriter(a, prev)
+}
+
+// memWriterPerValuation is the forward walk on the per-valuation oracle,
+// the reference FindMemWriter must agree with.
+func memWriterPerValuation(e *Engine, a *Analysis, storeSeq []discovery.Instr, lit int64) int {
+	hit, ok := memHits(e, a, storeSeq, lit)
+	if !ok {
+		return -1
+	}
+	return forwardWalk(a, hit)
 }
 
 // hardwiredPerValuation is DetectHardwired running each candidate once
@@ -151,69 +205,78 @@ func (m *lineMachine) Execute(img *asm.Image) (string, error) {
 	return out, err
 }
 
-// TestBatchedMemWriterMatchesValuations: on every quick sample of the
-// five targets, FindMemWriter's one image per (position, constant) must
-// find the writer the per-valuation walk finds, also when every batched
-// image loses its last line and the valuations fall back to Fig. 3's
-// probe, and DetectHardwired's one image per candidate must find the
-// registers the per-valuation rule finds.
+// TestBatchedMemWriterMatchesValuations: on every quick and full sample
+// of the five targets at seeds 1-3, FindMemWriter's backward walk, one
+// image per (position, constant), must find the writer the forward walk
+// finds probing one valuation at a time, also when every batched image
+// loses its last line and the valuations fall back to Fig. 3's probe, and
+// DetectHardwired's one image per candidate must find the registers the
+// per-valuation rule finds.
 func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 	hardwired, reordered := 0, 0
 	for _, tc := range []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()} {
 		t.Run(tc.Name(), func(t *testing.T) {
-			m := &lineMachine{Toolchain: tc}
-			e, samples := setup(t, m)
-			constA := analyze(t, e, samples["int.const.34117"])
-			names := make([]string, 0, len(samples))
-			for n := range samples {
-				names = append(names, n)
-			}
-			sort.Strings(names)
 			found := 0
-			for _, n := range names {
-				a, err := e.Analyze(samples[n])
-				if err != nil {
-					continue
-				}
-				want := memWriterPerValuation(e, a, constA.Region, 34117)
-				if e.FindMemWriter(a, constA.Region, 34117); a.AWriter != want {
-					t.Errorf("%s: batched writer %d, per-valuation writer %d:\n%s", n, a.AWriter, want, describe(a.Region))
-				}
-				// A guarded store's valuations resolve at different
-				// positions; each in turn leads the batch.
-				for r := 1; a.Sample.Kind == discovery.PCond && r < a.Sample.NumValuations(); r++ {
-					b := *a
-					b.Sample = rotate(a.Sample, r)
-					want := memWriterPerValuation(e, &b, constA.Region, 34117)
-					if e.FindMemWriter(&b, constA.Region, 34117); b.AWriter != want {
-						t.Errorf("%s led by valuation %d: batched writer %d, per-valuation writer %d", n, r, b.AWriter, want)
+			for _, full := range []bool{false, true} {
+				for seed := int64(1); seed <= 3; seed++ {
+					m := &lineMachine{Toolchain: tc}
+					e, samples := setupSet(t, m, gen.Config{Rand: rand.New(rand.NewSource(seed)), Full: full})
+					constA := analyze(t, e, samples["int.const.34117"])
+					names := make([]string, 0, len(samples))
+					for n := range samples {
+						names = append(names, n)
 					}
-					lead := b
-					lead.Sample = rotate(a.Sample, r)
-					lead.Sample.Variants = nil
-					if memWriterPerValuation(e, &lead, constA.Region, 34117) != want {
-						reordered++
+					slices.Sort(names)
+					for _, n := range names {
+						a, err := e.Analyze(samples[n])
+						if err != nil {
+							continue
+						}
+						n := fmt.Sprintf("%s (seed %d, full %v)", n, seed, full)
+						want := memWriterPerValuation(e, a, constA.Region, 34117)
+						if e.FindMemWriter(a, constA.Region, 34117); a.AWriter != want {
+							t.Errorf("%s: batched writer %d, per-valuation writer %d:\n%s", n, a.AWriter, want, describe(a.Region))
+						}
+						if a.AWriter >= 0 && a.Region[a.AWriter].Op == "" {
+							t.Errorf("%s: the writer %d is a label-only instruction", n, a.AWriter)
+						}
+						// A guarded store's valuations resolve at different
+						// positions; each in turn leads the batch.
+						for r := 1; a.Sample.Kind == discovery.PCond && r < a.Sample.NumValuations(); r++ {
+							b := *a
+							b.Sample = rotate(a.Sample, r)
+							want := memWriterPerValuation(e, &b, constA.Region, 34117)
+							if e.FindMemWriter(&b, constA.Region, 34117); b.AWriter != want {
+								t.Errorf("%s led by valuation %d: batched writer %d, per-valuation writer %d", n, r, b.AWriter, want)
+							}
+							lead := b
+							lead.Sample = rotate(a.Sample, r)
+							lead.Sample.Variants = nil
+							if memWriterPerValuation(e, &lead, constA.Region, 34117) != want {
+								reordered++
+							}
+						}
+						m.drop = true
+						dropped := m.dropped
+						e.FindMemWriter(a, constA.Region, 34117)
+						m.drop = false
+						if a.AWriter != want {
+							t.Errorf("%s: writer %d after falling back, per-valuation writer %d", n, a.AWriter, want)
+						}
+						if want >= 0 && a.Sample.NumValuations() > 1 && m.dropped == dropped {
+							t.Errorf("%s: no batched image lost a line; the fallback went untested", n)
+						}
+						if want >= 0 {
+							found++
+						}
+						if a.Sample.Name == "int.move.b" {
+							got, want := e.DetectHardwired(a.Sample), hardwiredPerValuation(e, a.Sample)
+							if !maps.Equal(got, want) {
+								t.Errorf("%s: hardwired registers %v, per-valuation rule %v", n, got, want)
+							}
+							hardwired += len(got)
+						}
 					}
-				}
-				m.drop = true
-				dropped := m.dropped
-				e.FindMemWriter(a, constA.Region, 34117)
-				m.drop = false
-				if a.AWriter != want {
-					t.Errorf("%s: writer %d after falling back, per-valuation writer %d", n, a.AWriter, want)
-				}
-				if want >= 0 && a.Sample.NumValuations() > 1 && m.dropped == dropped {
-					t.Errorf("%s: no batched image lost a line; the fallback went untested", n)
-				}
-				if want >= 0 {
-					found++
-				}
-				if n == "int.move.b" {
-					got, want := e.DetectHardwired(a.Sample), hardwiredPerValuation(e, a.Sample)
-					if !maps.Equal(got, want) {
-						t.Errorf("hardwired registers %v, per-valuation rule %v", got, want)
-					}
-					hardwired += len(got)
 				}
 			}
 			if found == 0 {
@@ -226,6 +289,76 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 	}
 	if reordered == 0 {
 		t.Error("no leading valuation alone misses the writer; a verdict read off the wrong line would go unseen")
+	}
+}
+
+// TestGuardedStoreWriter pins the walk on a hand-built guarded store,
+// `if (b != c) a = 8219` on the VAX:
+//
+//	0: cmpl -8(fp), -12(fp)
+//	1: jeql .L7
+//	2: movl $8219, -4(fp)
+//	3: .L7:
+//
+// A valuation with b == c jumps to .L7, past a store planted at position
+// 3, so that store misses on its path although nothing after it writes
+// a. A walk from region end that stops at that miss returns 3, the label.
+// The walk skips the position before a label-only instruction, stops at
+// 2, where the fall-through valuations' movl overwrites the store, and
+// returns 2, as the forward walk does. lastWriter never returns a
+// label-only instruction.
+func TestGuardedStoreWriter(t *testing.T) {
+	e, samples := setup(t, vax.New())
+	constA := analyze(t, e, samples["int.const.34117"])
+	var s *discovery.Sample
+	for _, c := range samples {
+		if c.Kind != discovery.PCond || s != nil && c.Name > s.Name {
+			continue
+		}
+		eq := 0
+		for _, v := range c.Valuations() {
+			if v.B == v.C {
+				eq++
+			}
+		}
+		if eq > 0 && eq < c.NumValuations() {
+			s = c
+		}
+	}
+	if s == nil {
+		t.Fatal("no conditional sample has valuations on both paths")
+	}
+	fp := func(off int64) discovery.Operand {
+		return discovery.Operand{Text: fmt.Sprintf("%d(fp)", off), Kind: discovery.KMem, Regs: []string{"fp"}, Lit: off}
+	}
+	a := &Analysis{
+		Sample: s,
+		Region: []discovery.Instr{
+			{Op: "cmpl", Args: []discovery.Operand{fp(-8), fp(-12)}},
+			{Op: "jeql", Args: []discovery.Operand{{Text: ".L7", Kind: discovery.KLabelRef, Sym: ".L7"}}},
+			{Op: "movl", Args: []discovery.Operand{{Text: "$8219", Kind: discovery.KLit, Lit: 8219}, fp(-4)}},
+			{Labels: []string{".L7"}},
+		},
+		Filler:  map[int]bool{},
+		Slotted: map[int]bool{},
+	}
+	hit, ok := memHits(e, a, constA.Region, 34117)
+	if !ok {
+		t.Fatal("no register renaming survives at region end")
+	}
+	if got := plainBackwardWalk(a, hit); got != 3 {
+		t.Errorf("%s: the walk without the label rule returned %d; want 3, the label", s.Name, got)
+	}
+	if got := forwardWalk(a, hit); got != 2 {
+		t.Errorf("%s: the forward walk returned %d; want 2, the movl", s.Name, got)
+	}
+	if e.FindMemWriter(a, constA.Region, 34117); a.AWriter != 2 {
+		t.Errorf("%s: FindMemWriter returned %d; want 2, the movl", s.Name, a.AWriter)
+	}
+	for pos, want := range []int{-1, 0, 1, 2, 2} {
+		if got := lastWriter(a, pos); got != want {
+			t.Errorf("lastWriter(%d) = %d; want %d", pos, got, want)
+		}
 	}
 }
 

@@ -21,8 +21,14 @@ import (
 // setup bootstraps a target and returns an engine plus the sample map.
 func setup(t testing.TB, tc target.Toolchain) (*Engine, map[string]*discovery.Sample) {
 	t.Helper()
+	return setupSet(t, tc, gen.Config{Rand: rand.New(rand.NewSource(3))})
+}
+
+// setupSet is setup on the sample set cfg generates.
+func setupSet(t testing.TB, tc target.Toolchain, cfg gen.Config) (*Engine, map[string]*discovery.Sample) {
+	t.Helper()
 	rig := discovery.NewRig(tc)
-	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(3))})
+	samples, err := gen.Samples(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
