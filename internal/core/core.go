@@ -50,9 +50,6 @@ type Options struct {
 	// synthesized spec: coverage closure, rule shadowing, symbolic
 	// template verification, structural invariants. Implies Check.
 	CheckMD bool
-	// QuorumN caps the executions spent seeking an output quorum per run
-	// (0 = probe.DefaultQuorumN; 1 trusts single runs — no re-probing).
-	QuorumN int
 	// Trace receives the run's telemetry: phase spans, per-probe events,
 	// counters, histograms. Nil gets a private sink-less tracer on a
 	// virtual clock, so phase attribution and counters always exist. The
@@ -71,8 +68,7 @@ type Options struct {
 	// across runs in this process (sample text → assembly →
 	// quorum-accepted run output): a repeat discovery replays memoized
 	// probes instead of re-interrogating the toolchain, with traces
-	// byte-identical to the cold run. Share one Cache only between runs
-	// with the same QuorumN policy.
+	// byte-identical to the cold run.
 	Cache *probe.Cache
 }
 
@@ -152,12 +148,11 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 	if tr == nil {
 		tr = obs.New(nil)
 	}
-	probeCfg := probe.DefaultConfig()
-	probeCfg.QuorumN = opts.QuorumN
-	probeCfg.Trace = tr
-	probeCfg.Cache = opts.Cache
-	rig := discovery.NewRigConfig(tc, probeCfg)
-	rig.Workers = opts.Workers
+	rig := &discovery.Rig{
+		TC:      tc,
+		P:       probe.New(tc, probe.Config{Trace: tr, Cache: opts.Cache}),
+		Workers: opts.Workers,
+	}
 	rnd := rand.New(rand.NewSource(opts.Seed))
 
 	// Phase 1 — syntax discovery: generate the sample set and bootstrap

@@ -24,10 +24,14 @@ import (
 // it hits do not move when discovery makes fewer toolchain calls
 // elsewhere.
 //
-// The fixed value is the same under every seed, so a checker-gated retry
-// rebuilds the aimed images unchanged and meets the same noise: the
-// sample's liveness comes out wrong on every attempt, and the gate must
-// drop it. The background rate leaves the rest of the discovery to chance.
+// The noise is a function of the linked image, so every run of one image
+// lies alike: the output quorum sees agreeing runs and accepts the lie,
+// and only the checker gate stands between the noise and the data-flow
+// graphs. The fixed value is the same under every seed, so a
+// checker-gated retry rebuilds the aimed images unchanged and meets the
+// same noise: the sample's liveness comes out wrong on every attempt, and
+// the gate must drop it. The background rate leaves the rest of the
+// discovery to chance.
 type imageNoise struct {
 	target.Toolchain
 	seed int64
@@ -70,21 +74,23 @@ func (n imageNoise) aimed(img *asm.Image) bool {
 	return op && fixed
 }
 
-// TestCheckerGateRetriesAndDrops: with the output quorum disabled, scratch
-// noise reaches mutation analysis and corrupts data-flow graphs; the
-// checker gate must catch the damage — re-running condemned analyses with
-// fresh seeds and dropping incorrigible samples — instead of shipping
-// suspect graphs or aborting. Which runs the noise hits depends on the
+// TestCheckerGateRetriesAndDrops: image noise lies alike on every run of
+// an image, so the output quorum accepts it and it reaches mutation
+// analysis and corrupts data-flow graphs; the checker gate must catch the
+// damage — re-running condemned analyses with fresh seeds and dropping
+// incorrigible samples — instead of shipping suspect graphs or aborting. Which runs the noise hits depends on the
 // seed, so the assertions aggregate over seeds and check structural
 // invariants rather than exact counts. The aimed noise follows int.neg.b
 // through its retries, so a drop does not depend on the seed. A drop's
 // reason names an error, the kind of diagnostic that condemned the graph,
-// even where a warning comes first (int.neg.b's SA006).
+// even where a warning comes first (int.neg.b's SA006). Whatever spec
+// survives must never be silently wrong: a validation program it
+// miscompiles fails with an error, never with a wrong output.
 func TestCheckerGateRetriesAndDrops(t *testing.T) {
 	retried, dropped, negDropped := 0, 0, 0
 	for _, seed := range []int64{1, 2, 3} {
 		inj := newImageNoise(seed)
-		d, err := Discover(inj, Options{Seed: 11, QuorumN: 1, Check: true})
+		d, err := Discover(inj, Options{Seed: 11, Check: true})
 		if err != nil {
 			continue // noise killed a bootstrap probe; acceptable degradation
 		}
@@ -136,12 +142,24 @@ func TestCheckerGateRetriesAndDrops(t *testing.T) {
 		if !strings.Contains(d.Report(), "probe:") {
 			t.Errorf("seed %d: Report() omits the probe summary", seed)
 		}
+		if d.Spec == nil {
+			continue
+		}
+		passed := 0
+		for _, r := range d.Validate(x86.New(), ValidationSuite) {
+			if r.OK {
+				passed++
+			} else if r.Err == nil {
+				t.Errorf("seed %d: %s: silent wrong output %q (want %q)", seed, r.Program, r.Got, r.Want)
+			}
+		}
+		t.Logf("seed %d: %d of %d validation programs passed", seed, passed, len(ValidationSuite))
 	}
 	if retried == 0 {
-		t.Error("no analysis was ever retried under quorum-disabled noise")
+		t.Error("no analysis was ever retried under image noise")
 	}
 	if dropped == 0 {
-		t.Error("no sample was ever dropped under quorum-disabled noise")
+		t.Error("no sample was ever dropped under image noise")
 	}
 	if negDropped == 0 {
 		t.Error("the aimed noise never dropped int.neg.b; its reason went unchecked")
@@ -163,7 +181,7 @@ func TestCheckerGateWorkersByteIdentical(t *testing.T) {
 		for i, workers := range []int{1, parallelWorkers()} {
 			tr := obs.New(nil, obs.NewJSONLSink(&traces[i]))
 			inj := newImageNoise(seed)
-			ds[i], errs[i] = Discover(inj, Options{Seed: 11, QuorumN: 1, Check: true, Trace: tr, Workers: workers})
+			ds[i], errs[i] = Discover(inj, Options{Seed: 11, Check: true, Trace: tr, Workers: workers})
 			if err := tr.Flush(); err != nil {
 				t.Fatal(err)
 			}

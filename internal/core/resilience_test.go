@@ -119,23 +119,3 @@ func assertExpectShortcutSafe(t *testing.T, clean, lying probe.Stats) {
 			lying.ExpectAccepts, lying)
 	}
 }
-
-// TestQuorumDisabledDegradesGracefully: with QuorumN=1 the probe layer
-// trusts single runs, so scratch noise reaches mutation analysis. The run
-// may lose samples — but it must complete with a diagnosis, never absorb a
-// lie silently into verified semantics that then miscompile.
-func TestQuorumDisabledDegradesGracefully(t *testing.T) {
-	inj := faulty.New(x86.New(), faulty.Config{Seed: 23, Rate: 0, Noise: 0.02})
-	d, err := Discover(inj, Options{Seed: 11, QuorumN: 1, Check: true})
-	if err != nil {
-		return // aborting with a diagnosis is acceptable degradation
-	}
-	if d.Spec == nil {
-		return
-	}
-	for _, r := range d.Validate(x86.New(), ValidationSuite) {
-		if !r.OK && r.Err == nil {
-			t.Errorf("%s: silent wrong output %q (want %q)", r.Program, r.Got, r.Want)
-		}
-	}
-}

@@ -65,9 +65,7 @@ func (d *Discovery) Validate(tc target.Toolchain, progs []Program) []ValidationR
 	// It shares the discovery run's tracer (its own prober, though — the
 	// noisy latch must not leak between toolchains), so validation probes
 	// land in the same trace under their own phase span.
-	cfg := probe.DefaultConfig()
-	cfg.Trace = d.Trace
-	pr := probe.New(tc, cfg)
+	pr := probe.New(tc, probe.Config{Trace: d.Trace})
 	_ = d.Trace.Phase(obs.PhaseValidation, func() error {
 		out = d.validate(pr, backend, progs)
 		return nil

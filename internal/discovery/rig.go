@@ -41,13 +41,8 @@ type Rig struct {
 	Workers int
 }
 
-// NewRig wraps a toolchain under the default resilience policy.
-func NewRig(tc target.Toolchain) *Rig { return NewRigConfig(tc, probe.DefaultConfig()) }
-
-// NewRigConfig wraps a toolchain under an explicit resilience policy.
-func NewRigConfig(tc target.Toolchain, cfg probe.Config) *Rig {
-	return &Rig{TC: tc, P: probe.New(tc, cfg)}
-}
+// NewRig wraps a toolchain in a prober with a private tracer and no cache.
+func NewRig(tc target.Toolchain) *Rig { return &Rig{TC: tc, P: probe.New(tc, probe.Config{})} }
 
 // Stats snapshots the toolchain-interaction counters from the tracer.
 // Like probe.Stats it is a read-only view, not an independent tally:
@@ -96,37 +91,23 @@ func (r *Rig) Accepts(text string) bool {
 
 // LinkRun links pre-assembled units and executes the result, returning the
 // program's stdout. An execution fault is an error (mutation analyses treat
-// faults as "behaved differently").
-func (r *Rig) LinkRun(units ...*asm.Unit) (string, error) {
-	img, err := r.link(units)
-	if err != nil {
-		return "", err
-	}
-	return r.P.Execute(img)
-}
-
-// LinkRunExpect is LinkRun for a caller comparing the output against want,
-// an exact reference output — the ir.Eval output, or a constant the probe
-// planted itself, never an output observed on the machine: on a machine
-// never caught lying, one run printing want settles the execution
+// faults as "behaved differently"). An empty want runs the full output
+// quorum (probe.Prober.Execute). Any other want is an exact reference
+// output the caller compares against — the ir.Eval output, or a constant
+// the probe planted itself, never an output observed on the machine: on a
+// machine never caught lying, one run printing want settles the execution
 // (probe.Prober.ExecuteExpect).
-func (r *Rig) LinkRunExpect(want string, units ...*asm.Unit) (string, error) {
-	img, err := r.link(units)
-	if err != nil {
-		return "", err
-	}
-	return r.P.ExecuteExpect(img, want)
-}
-
-// link links units, counting the link and, when it succeeds, the
-// execution that follows.
-func (r *Rig) link(units []*asm.Unit) (*asm.Image, error) {
+func (r *Rig) LinkRun(want string, units ...*asm.Unit) (string, error) {
 	r.Trace().Count(CtrLinks, 1)
 	img, err := r.P.Link(units)
-	if err == nil {
-		r.Trace().Count(CtrExecutions, 1)
+	if err != nil {
+		return "", err
 	}
-	return img, err
+	r.Trace().Count(CtrExecutions, 1)
+	if want == "" {
+		return r.P.Execute(img)
+	}
+	return r.P.ExecuteExpect(img, want)
 }
 
 // BuildRun compiles, assembles, links, and runs C translation units.
@@ -143,5 +124,5 @@ func (r *Rig) BuildRun(sources ...string) (string, error) {
 		}
 		units = append(units, u)
 	}
-	return r.LinkRun(units...)
+	return r.LinkRun("", units...)
 }

@@ -168,7 +168,7 @@ func TestExtractionRebuildRoundTrips(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := rig.LinkRun(u1, initU, helpers)
+				out, err := rig.LinkRun("", u1, initU, helpers)
 				if err != nil {
 					t.Errorf("%s: rebuilt program failed: %v", s.Name, err)
 					continue

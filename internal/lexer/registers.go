@@ -332,7 +332,7 @@ func assembleRun(rig *discovery.Rig, text string, initUnit *asm.Unit) (string, e
 	if err != nil {
 		return "", err
 	}
-	return rig.LinkRun(u, initUnit)
+	return rig.LinkRun("", u, initUnit)
 }
 
 // regionRegisters lists registers mentioned in a sample's region.

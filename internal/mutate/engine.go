@@ -169,8 +169,8 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 // SameOutputVal checks a single valuation (index 0 is the base). The
 // value-specific attribution probes (§4.4's repair insertions) use the
 // base valuation only, since their repair constants are drawn from it.
-// The mutant runs under Rig.LinkRunExpect: the expected output is the
-// exact reference, so on a machine never caught lying one run that
+// The mutant runs with its expected output, an exact reference, as
+// Rig.LinkRun's want, so on a machine never caught lying one run that
 // reproduces it settles the verdict.
 func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, val int) bool {
 	return e.same(e.build(s, region), val)
@@ -213,7 +213,7 @@ func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int
 // PrintsAll assembles the sample with a replacement region and reports
 // whether the image running every valuation prints want[val] for each
 // valuation val in turn. want holds one exact reference per valuation
-// (Rig.LinkRunExpect), such as the output cell's initial value that the
+// (Rig.LinkRun's want), such as the output cell's initial value that the
 // Synthesizer's jump probe expects once its branch skips the store.
 func (e *Engine) PrintsAll(s *discovery.Sample, region []discovery.Instr, want []string) bool {
 	defer e.enter(anSynth)()
@@ -240,8 +240,8 @@ func (e *Engine) build(s *discovery.Sample, region []discovery.Instr) mutant {
 // run links m with the initializer init and the helpers and executes the
 // image, counting one mutation, under the current analysis too. A
 // rejected mutant counts its mutation and fails. A non-empty want is an
-// exact reference output and the run goes through Rig.LinkRunExpect
-// against it; an empty want runs the full output quorum.
+// exact reference output the run is checked against (Rig.LinkRun); an
+// empty want runs the full output quorum.
 func (e *Engine) run(m mutant, init, want string) (string, error) {
 	tr := e.Rig.Trace()
 	tr.Count(discovery.CtrMutations, 1)
@@ -257,10 +257,7 @@ func (e *Engine) run(m mutant, init, want string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if want != "" {
-		return e.Rig.LinkRunExpect(want, m.u, initU, helpers)
-	}
-	return e.Rig.LinkRun(m.u, initU, helpers)
+	return e.Rig.LinkRun(want, m.u, initU, helpers)
 }
 
 // prints reports whether m, linked with the initializer init, prints

@@ -1,19 +1,19 @@
 // Content-addressed probe cache: the memo the parallel probe engine and
 // repeat discoveries hit instead of the toolchain. The unit of caching is
 // the logical probe — one fully resolved retry+quorum interaction — keyed
-// by the operation, the resilience policy, and the content flowing into
-// it: C source for compiles, assembly text for assembles, the ordered
-// assembly texts of the units for links, and the link key for executes
-// (sample text → assembly → quorum-accepted run output), plus the
-// expected output for expect-executes. A hit returns
-// the recorded value, error, and telemetry bundle; replaying the bundle
-// keeps a warm run's trace byte-identical to the cold run that filled it.
+// by the operation and the content flowing into it: C source for
+// compiles, assembly text for assembles, the ordered assembly texts of the
+// units for links, and the link key for executes (sample text → assembly →
+// quorum-accepted run output), plus the expected output for
+// expect-executes. A hit returns the recorded value, error, and telemetry
+// bundle; replaying the bundle keeps a warm run's trace byte-identical to
+// the cold run that filled it.
 //
 // Keys are the content itself, not a digest of it: a struct-keyed Go map
 // hashes the strings in place, so a lookup costs no allocation and no
 // cryptographic work — this sits on the per-mutation hot path. The
-// operation and policy are separate key fields, so no separator scheme is
-// needed and no payload can collide across operations.
+// operation is a key field of its own, so no separator scheme is needed
+// and no payload can collide across operations.
 package probe
 
 import (
@@ -40,14 +40,13 @@ const (
 	CtrCacheBytes   = "probe.cache_bytes"
 )
 
-// entryKey addresses one memoized logical probe by operation, resilience
-// policy, and the full content flowing into the probe. want is the
+// entryKey addresses one memoized logical probe by operation and the full
+// content flowing into the probe. want is the
 // expected output of an execute-expect probe (empty for every other op):
 // a field of its own rather than part of the payload, so the key shares
 // the link key's string instead of copying it.
 type entryKey struct {
 	op      string
-	policy  string
 	payload string
 	want    string
 }
@@ -68,9 +67,7 @@ type cacheEntry struct {
 //
 // Only quiet, settled outcomes are stored: no retries consumed, no noisy
 // latch, and any error permanent (assembler rejects are cached signal;
-// transient faults and exhaustion are not). Probers sharing a Cache must
-// share a resilience policy — the policy is part of the key, so a
-// mismatch degrades to a miss, never to a wrong answer.
+// transient faults and exhaustion are not).
 type Cache struct {
 	mu      sync.Mutex
 	entries map[entryKey]*cacheEntry
@@ -123,7 +120,7 @@ func (c *Cache) store(k entryKey, e *cacheEntry) {
 	c.mu.Lock()
 	if _, ok := c.entries[k]; !ok {
 		c.entries[k] = e
-		c.bytes += int64(len(k.op) + len(k.policy) + len(k.payload) + len(k.want))
+		c.bytes += int64(len(k.op) + len(k.payload) + len(k.want))
 		if s, ok := e.val.(string); ok {
 			c.bytes += int64(len(s))
 		}

@@ -13,11 +13,9 @@ import (
 // re-runs the whole quorum, and each physical fault must be counted as
 // survived exactly once when the probe finally settles.
 func TestQuorumAllTransientRetriesAndSettles(t *testing.T) {
-	tc := &scripted{execute: []step{
-		{err: &flake{"rsh: dropped"}}, {err: &flake{"rsh: dropped"}}, {err: &flake{"rsh: dropped"}},
-		{out: "A\n"}, {out: "A\n"},
-	}}
-	p := New(tc, cfg(8, 3))
+	tc := &scripted{execute: append(flakes(quorumN, "rsh: dropped"),
+		step{out: "A\n"}, step{out: "A\n"})}
+	p := New(tc, Config{})
 	out, err := p.Execute(&asm.Image{})
 	if err != nil || out != "A\n" {
 		t.Fatalf("Execute = %q, %v; the retried quorum must settle", out, err)
@@ -26,8 +24,8 @@ func TestQuorumAllTransientRetriesAndSettles(t *testing.T) {
 	if st.Retries != 1 {
 		t.Errorf("retries = %d; an all-faulted quorum is transient and retried once here", st.Retries)
 	}
-	if st.FaultsSurvived != 3 {
-		t.Errorf("survived = %d; want 3 — each dropped run counted exactly once", st.FaultsSurvived)
+	if st.FaultsSurvived != 7 {
+		t.Errorf("survived = %d; want 7 — each dropped run counted exactly once", st.FaultsSurvived)
 	}
 	if st.QuorumConflicts != 0 || p.Noisy() {
 		t.Error("transient faults are not disagreements; the machine is not noisy")
@@ -55,15 +53,16 @@ func TestAllTransientQuorumErrorShape(t *testing.T) {
 // between the retry loop and the quorum: a physical transient fault inside
 // a failed quorum attempt must be counted as survived exactly once — at
 // final settle, by the retry loop — never also as a quorum "loser". The
-// script forces a conflict (raising the bar to 3), then a faulted quorum,
-// then a clean settle; exactly one physical fault exists.
+// script forces a conflict (raising the bar to 3), then a faulted quorum
+// that conflicts again, then a clean settle; exactly one physical fault
+// exists.
 func TestFaultAttributionCountsPhysicalFaultsOnce(t *testing.T) {
 	tc := &scripted{execute: []step{
-		{out: "a"}, {out: "b"}, {out: "c"}, // conflict: three distinct votes, no quorum
-		{err: &flake{"rsh: dropped"}}, {out: "d"}, {out: "d"}, // fault eats a run; 2 < bar of 3
+		{out: "a"}, {out: "b"}, {out: "c"}, {out: "e"}, {out: "f"}, {out: "g"}, {out: "h"}, // seven distinct votes, no quorum
+		{err: &flake{"rsh: dropped"}}, {out: "d"}, {out: "d"}, {out: "e"}, {out: "e"}, {out: "f"}, {out: "f"}, // fault eats a run; 2 < bar of 3
 		{out: "d"}, {out: "d"}, {out: "d"}, // clean settle at the raised bar
 	}}
-	p := New(tc, cfg(8, 3))
+	p := New(tc, Config{})
 	out, err := p.Execute(&asm.Image{})
 	if err != nil || out != "d" {
 		t.Fatalf("Execute = %q, %v", out, err)
@@ -72,8 +71,8 @@ func TestFaultAttributionCountsPhysicalFaultsOnce(t *testing.T) {
 	if st.FaultsSurvived != 1 {
 		t.Errorf("survived = %d; want 1 — one physical fault, one tally", st.FaultsSurvived)
 	}
-	if st.Retries != 2 || st.QuorumConflicts != 1 || !p.Noisy() {
-		t.Errorf("stats = %+v noisy=%v; want retries=2 conflicts=1 noisy", st, p.Noisy())
+	if st.Retries != 2 || st.QuorumConflicts != 2 || !p.Noisy() {
+		t.Errorf("stats = %+v noisy=%v; want retries=2 conflicts=2 noisy", st, p.Noisy())
 	}
 }
 
@@ -85,9 +84,7 @@ func TestFaultAttributionCountsPhysicalFaultsOnce(t *testing.T) {
 func TestCacheColdWarmReplays(t *testing.T) {
 	cache := NewCache()
 	run := func(tc *scripted) (string, Stats, *Prober) {
-		c := cfg(8, 7)
-		c.Cache = cache
-		p := New(tc, c)
+		p := New(tc, Config{Cache: cache})
 		text, err := p.CompileC("main(){}")
 		if err != nil {
 			t.Fatalf("CompileC: %v", err)
@@ -143,13 +140,11 @@ func TestCacheColdWarmReplays(t *testing.T) {
 // probe hoping for a different output — each is its own entry.
 func TestCacheExpectNeverSharesExecuteEntry(t *testing.T) {
 	cache := NewCache()
-	c := cfg(8, 7)
-	c.Cache = cache
 	p := New(&scripted{
 		assemble: []step{{}},
 		link:     []step{{}},
 		execute:  []step{{out: "42\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}},
-	}, c)
+	}, Config{Cache: cache})
 	u, err := p.Assemble("mov a, b")
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +178,7 @@ func TestCacheExpectNeverSharesExecuteEntry(t *testing.T) {
 // so they must not be memoized.
 func TestCacheRefusesUnquietOutcomes(t *testing.T) {
 	cache := NewCache()
-	c := cfg(8, 7)
-	c.Cache = cache
+	c := Config{Cache: cache}
 	tc := &scripted{
 		compile: []step{
 			{err: &flake{"compiler crashed"}}, {out: "mov a, b"}, // retried → uncacheable
@@ -230,8 +224,7 @@ func TestCacheRefusesUnquietOutcomes(t *testing.T) {
 // nothing, and first-write-wins never double-counts a key.
 func TestCacheOccupancyAccounting(t *testing.T) {
 	cache := NewCache()
-	c := cfg(8, 7)
-	c.Cache = cache
+	c := Config{Cache: cache}
 	chain := func(tc *scripted) {
 		p := New(tc, c)
 		text, err := p.CompileC("main(){}")
@@ -276,37 +269,15 @@ func TestCacheOccupancyAccounting(t *testing.T) {
 
 	// First write wins, and so does its size: re-storing an occupied key —
 	// two workers racing on the same probe — must not grow the figure.
-	k := entryKey{op: "op", policy: "pol", payload: "xyz"}
+	k := entryKey{op: "op", payload: "xyz"}
 	cache.store(k, &cacheEntry{val: "v"})
 	grown := cache.Bytes() - occupied
-	if want := int64(len("op") + len("pol") + len("xyz") + len("v")); grown != want {
+	if want := int64(len("op") + len("xyz") + len("v")); grown != want {
 		t.Errorf("storing one entry grew Bytes by %d, want %d", grown, want)
 	}
 	cache.store(k, &cacheEntry{val: "a much longer losing value"})
 	if cache.Len() != 5 || cache.Bytes() != occupied+grown {
 		t.Errorf("second store of an occupied key changed occupancy: len=%d bytes=%d",
 			cache.Len(), cache.Bytes())
-	}
-}
-
-// TestCacheKeyIncludesPolicy: the same probe under a different resilience
-// policy is a different key — a 2-of-7 quorum's accepted output must not
-// answer a 1-of-1 prober.
-func TestCacheKeyIncludesPolicy(t *testing.T) {
-	cache := NewCache()
-	c1 := cfg(8, 7)
-	c1.Cache = cache
-	p1 := New(&scripted{compile: []step{{out: "mov a, b"}}}, c1)
-	if _, err := p1.CompileC("main(){}"); err != nil {
-		t.Fatal(err)
-	}
-	c2 := cfg(3, 1)
-	c2.Cache = cache
-	p2 := New(&scripted{compile: []step{{out: "mov a, b"}}}, c2)
-	if _, err := p2.CompileC("main(){}"); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 2 {
-		t.Errorf("cache entries = %d; want 2 — policy is part of the key", cache.Len())
 	}
 }

@@ -41,21 +41,21 @@ import (
 	"srcg/internal/target"
 )
 
-// Config tunes the resilience policy.
+// The resilience policy, one for every prober: a transient fault is
+// retried up to maxRetries times after the first attempt, retry i waits
+// min(backoffBase<<(i-1), backoffCap) of virtual time (accounted, never
+// slept), and an output quorum spends at most quorumN executions. Two
+// agreeing runs accept an output; once runs disagree, the bar rises to
+// three.
+const (
+	maxRetries  = 8
+	backoffBase = time.Millisecond
+	backoffCap  = 100 * time.Millisecond
+	quorumN     = 7
+)
+
+// Config says where a Prober reports and what it may memoize.
 type Config struct {
-	// Retries is the transient-fault retry budget per probe (after the
-	// first attempt). 0 means DefaultRetries.
-	Retries int
-	// BackoffBase and BackoffCap bound the deterministic backoff schedule:
-	// attempt i waits min(BackoffBase<<(i-1), BackoffCap) of virtual time,
-	// accounted but never slept.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// QuorumN caps the executions spent seeking an output quorum. Two
-	// agreeing runs accept an output; once runs disagree, the bar rises to
-	// three. QuorumN=1 trusts a single run (no re-execution); 0 means
-	// DefaultQuorumN.
-	QuorumN int
 	// Trace receives probe-level telemetry: one event per physical
 	// toolchain call, retry, and quorum escalation, and the resilience
 	// counters Stats reads. Nil gets a private sink-less tracer, so the
@@ -64,42 +64,12 @@ type Config struct {
 	// Cache, when non-nil, memoizes logical probe outcomes content-
 	// addressed (sample text → assembly → quorum-accepted run output), so
 	// repeated probes across re-analysis, validation, and whole repeat
-	// runs replay instead of hitting the toolchain. Probers sharing a
-	// Cache must share the same Retries/QuorumN policy.
+	// runs replay instead of hitting the toolchain.
 	Cache *Cache
 }
 
-// Policy defaults.
-const (
-	DefaultRetries = 8
-	DefaultQuorumN = 7
-)
-
-// DefaultConfig is the policy used when the caller does not care.
-func DefaultConfig() Config {
-	return Config{
-		Retries:     DefaultRetries,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  100 * time.Millisecond,
-		QuorumN:     DefaultQuorumN,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Retries <= 0 {
-		c.Retries = DefaultRetries
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 100 * time.Millisecond
-	}
-	if c.QuorumN <= 0 {
-		c.QuorumN = DefaultQuorumN
-	}
-	return c
-}
+// DefaultConfig is a Config with a private tracer and no cache.
+func DefaultConfig() Config { return Config{} }
 
 // Counter names the probe layer maintains on its tracer. Stats is a view
 // over exactly these; core.Report() renders the same numbers.
@@ -145,11 +115,9 @@ func (s Stats) String() string {
 
 // Prober drives one toolchain resiliently. It is safe for concurrent use.
 type Prober struct {
-	cfg    Config
-	tc     target.Toolchain
-	tr     *obs.Tracer
-	cache  *Cache
-	policy string // resilience policy fingerprint, part of every cache key
+	tc    target.Toolchain
+	tr    *obs.Tracer
+	cache *Cache
 
 	mu sync.Mutex
 	// noisy is set the first time two runs of one program disagree, and
@@ -172,32 +140,24 @@ func (p *Prober) Noisy() bool {
 
 // New wraps a toolchain in the resilience policy.
 func New(tc target.Toolchain, cfg Config) *Prober {
-	cfg = cfg.withDefaults()
-	if cfg.Trace == nil {
-		cfg.Trace = obs.New(nil)
+	tr := cfg.Trace
+	if tr == nil {
+		tr = obs.New(nil)
 	}
-	return &Prober{
-		tc:     tc,
-		cfg:    cfg,
-		tr:     cfg.Trace,
-		cache:  cfg.Cache,
-		policy: fmt.Sprintf("retries=%d;quorum=%d", cfg.Retries, cfg.QuorumN),
-	}
+	return &Prober{tc: tc, tr: tr, cache: cfg.Cache}
 }
 
 // Fork returns a child prober for one unit of parallel or memoized work:
-// same toolchain, policy, and cache, reporting to a fork of the tracer,
+// same toolchain and cache, reporting to a fork of the tracer,
 // with the parent's noisy latch snapshotted. Join folds the child's
 // telemetry and latch back in; internal/pool drives forks in task order
 // so results and traces are byte-identical at any worker count.
 func (p *Prober) Fork() *Prober {
 	return &Prober{
-		cfg:    p.cfg,
-		tc:     p.tc,
-		tr:     p.tr.Fork(),
-		cache:  p.cache,
-		policy: p.policy,
-		noisy:  p.Noisy(),
+		tc:    p.tc,
+		tr:    p.tr.Fork(),
+		cache: p.cache,
+		noisy: p.Noisy(),
 	}
 }
 
@@ -267,9 +227,9 @@ func (p *Prober) call(op string, fn func() error) error {
 // clock absorbs the scheduled duration so the trace timeline reflects it
 // without any real sleeping.
 func (p *Prober) backoff(retry int) time.Duration {
-	d := p.cfg.BackoffBase << uint(retry-1)
-	if d > p.cfg.BackoffCap || d <= 0 {
-		d = p.cfg.BackoffCap
+	d := backoffBase << uint(retry-1)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	p.tr.Count(CtrBackoffNs, int64(d))
 	p.tr.Advance(d)
@@ -290,7 +250,7 @@ func (p *Prober) retry(opName string, op func() (faults int, err error)) error {
 	p.tr.Count(CtrProbes, 1)
 	pending := 0
 	var last error
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			d := p.backoff(attempt)
 			p.tr.Count(CtrRetries, 1)
@@ -307,7 +267,7 @@ func (p *Prober) retry(opName string, op func() (faults int, err error)) error {
 		last = err
 	}
 	p.tr.Count(CtrExhausted, 1)
-	return &ExhaustedError{Op: opName, Attempts: p.cfg.Retries + 1, Last: last}
+	return &ExhaustedError{Op: opName, Attempts: maxRetries + 1, Last: last}
 }
 
 // transientCount is the physical fault cost of a simple (non-quorum)
@@ -321,16 +281,15 @@ func transientCount(err error) int {
 
 // logical resolves one logical probe — a full retry+quorum interaction.
 // Without a cache or a content key (memo), fn runs directly on p. With
-// both, a quiet settled outcome is memoized under id (whose policy field
-// is filled in here), and a later identical probe replays it: same value,
-// same error, same telemetry bundle, no toolchain work. Only a miss forks,
-// since only its bundle may be stored; Join stamps a stored or replayed
-// bundle where an inline probe would have reached.
+// both, a quiet settled outcome is memoized under id, and a later
+// identical probe replays it: same value, same error, same telemetry
+// bundle, no toolchain work. Only a miss forks, since only its bundle may
+// be stored; Join stamps a stored or replayed bundle where an inline probe
+// would have reached.
 func (p *Prober) logical(id entryKey, memo bool, fn func(sub *Prober) (any, error)) (any, error) {
 	if !memo || p.cache == nil {
 		return fn(p)
 	}
-	id.policy = p.policy
 	if e, ok := p.cache.lookup(id); ok {
 		p.tr.Count(CtrCacheHits, 1)
 		p.tr.Join(e.replay)
@@ -476,7 +435,7 @@ type observation struct {
 
 // quorumExecute runs the image until one observation gathers a quorum: two
 // agreeing runs normally, three once any disagreement has been seen. With
-// QuorumN=1 the first run is trusted. With expect set and the noisy latch
+// expect set and the noisy latch
 // clear, a first voting run that prints want without error is accepted
 // alone. Transient execution faults do not vote; they consume run budget
 // (reported back as the attempt's fault count) and the caller retries the
@@ -484,26 +443,18 @@ type observation struct {
 // a QuorumError with Votes==0 that is transient like any other quorum
 // failure.
 func (p *Prober) quorumExecute(img *asm.Image, want string, expect bool) (out string, faults int, err error) {
-	execute := func() (string, error) {
+	votes := map[string]int{}
+	obsv := map[string]observation{}
+	conflict := false
+	var lastFault error
+	for run := 0; run < quorumN; run++ {
+		p.tr.Count(CtrQuorumRuns, 1)
 		var out string
 		err := p.call("execute", func() error {
 			var err error
 			out, err = p.tc.Execute(img)
 			return err
 		})
-		return out, err
-	}
-	if p.cfg.QuorumN == 1 {
-		out, err := execute()
-		return out, transientCount(err), err
-	}
-	votes := map[string]int{}
-	obsv := map[string]observation{}
-	conflict := false
-	var lastFault error
-	for run := 0; run < p.cfg.QuorumN; run++ {
-		p.tr.Count(CtrQuorumRuns, 1)
-		out, err := execute()
 		if err != nil && IsTransient(err) {
 			faults++
 			lastFault = err
@@ -540,5 +491,5 @@ func (p *Prober) quorumExecute(img *asm.Image, want string, expect bool) (out st
 			return obsv[key].out, faults, obsv[key].err
 		}
 	}
-	return "", faults, &QuorumError{Runs: p.cfg.QuorumN, Votes: len(votes), Faults: faults, Last: lastFault}
+	return "", faults, &QuorumError{Runs: quorumN, Votes: len(votes), Faults: faults, Last: lastFault}
 }

@@ -71,13 +71,6 @@ func (s *scripted) Execute(img *asm.Image) (string, error) {
 
 var _ target.Toolchain = (*scripted)(nil)
 
-// cfg is a small deterministic policy for the tests: tight budgets so the
-// scripts stay short.
-func cfg(retries, quorum int) Config {
-	return Config{Retries: retries, BackoffBase: time.Millisecond,
-		BackoffCap: 4 * time.Millisecond, QuorumN: quorum}
-}
-
 // recorder is a sink keeping every event its tracer emits.
 type recorder struct{ events []obs.Event }
 
@@ -90,7 +83,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 		{err: &flake{"compiler crashed again"}},
 		{out: "mov a, b"},
 	}}
-	p := New(tc, cfg(8, 1))
+	p := New(tc, Config{})
 	out, err := p.CompileC("main(){}")
 	if err != nil || out != "mov a, b" {
 		t.Fatalf("CompileC = %q, %v; want the third attempt's output", out, err)
@@ -108,7 +101,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 func TestPermanentErrorsPassThroughUntouched(t *testing.T) {
 	reject := errors.New("as: unknown opcode `frob'")
 	tc := &scripted{assemble: []step{{err: reject}}}
-	p := New(tc, cfg(8, 1))
+	p := New(tc, Config{})
 	if _, err := p.Assemble("frob r1"); err != reject {
 		t.Fatalf("Assemble err = %v; want the assembler's reject verbatim", err)
 	}
@@ -118,26 +111,32 @@ func TestPermanentErrorsPassThroughUntouched(t *testing.T) {
 	}
 }
 
+// flakes scripts n transient faults in a row.
+func flakes(n int, msg string) []step {
+	script := make([]step, n)
+	for i := range script {
+		script[i] = step{err: &flake{msg}}
+	}
+	return script
+}
+
 func TestRetryBudgetExhaustion(t *testing.T) {
-	tc := &scripted{link: []step{
-		{err: &flake{"ld: dropped"}}, {err: &flake{"ld: dropped"}},
-		{err: &flake{"ld: dropped"}}, {err: &flake{"ld: dropped"}},
-	}}
-	p := New(tc, cfg(3, 1))
+	tc := &scripted{link: flakes(maxRetries+1, "ld: dropped")}
+	p := New(tc, Config{})
 	_, err := p.Link(nil)
 	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v; want *ExhaustedError", err)
 	}
-	if ex.Op != "link" || ex.Attempts != 4 {
-		t.Errorf("ExhaustedError = %+v; want op=link attempts=4", ex)
+	if ex.Op != "link" || ex.Attempts != 9 {
+		t.Errorf("ExhaustedError = %+v; want op=link attempts=9", ex)
 	}
 	if IsTransient(err) {
 		t.Error("exhaustion must be permanent even though its cause was transient")
 	}
 	st := p.Stats()
-	if st.Exhausted != 1 || st.Attempts != 4 {
-		t.Errorf("stats = %+v; want exhausted=1 attempts=4", st)
+	if st.Exhausted != 1 || st.Attempts != 9 || st.Retries != 8 {
+		t.Errorf("stats = %+v; want exhausted=1 attempts=9 retries=8", st)
 	}
 }
 
@@ -145,14 +144,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // from the retry events: the schedule doubles up to the cap, and the
 // accounted total matches what the events announced.
 func TestBackoffScheduleIsCappedAndDeterministic(t *testing.T) {
-	script := make([]step, 6)
-	for i := range script {
-		script[i] = step{err: &flake{"busy"}}
-	}
 	rec := &recorder{}
-	c := cfg(5, 1)
-	c.Trace = obs.New(nil, rec)
-	p := New(&scripted{compile: script}, c)
+	p := New(&scripted{compile: flakes(maxRetries+1, "busy")}, Config{Trace: obs.New(nil, rec)})
 	p.CompileC("x")
 	var scheduled []time.Duration
 	for _, e := range rec.events {
@@ -160,8 +153,8 @@ func TestBackoffScheduleIsCappedAndDeterministic(t *testing.T) {
 			scheduled = append(scheduled, e.Dur)
 		}
 	}
-	// 1ms, 2ms, 4ms, then capped at 4ms.
-	want := []time.Duration{1e6, 2e6, 4e6, 4e6, 4e6}
+	// 1ms doubling to 64ms, then capped at 100ms.
+	want := []time.Duration{1e6, 2e6, 4e6, 8e6, 16e6, 32e6, 64e6, 100e6}
 	if len(scheduled) != len(want) {
 		t.Fatalf("retry events scheduled %v; want %v", scheduled, want)
 	}
@@ -179,7 +172,7 @@ func TestBackoffScheduleIsCappedAndDeterministic(t *testing.T) {
 
 func TestQuorumAcceptsTwoAgreeingRuns(t *testing.T) {
 	tc := &scripted{execute: []step{{out: "42\n"}, {out: "42\n"}}}
-	p := New(tc, cfg(8, 7))
+	p := New(tc, Config{})
 	out, err := p.Execute(&asm.Image{})
 	if err != nil || out != "42\n" {
 		t.Fatalf("Execute = %q, %v; want 42", out, err)
@@ -198,7 +191,7 @@ func TestQuorumOutvotesNoiseAndEscalates(t *testing.T) {
 		{out: "4X\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}, // noisy quorum
 		{out: "7\n"}, {out: "7\n"}, {out: "7\n"}, // later clean probe pays the raised bar
 	}}
-	p := New(tc, cfg(8, 7))
+	p := New(tc, Config{})
 	out, err := p.Execute(&asm.Image{})
 	if err != nil || out != "42\n" {
 		t.Fatalf("Execute = %q, %v; the majority output must win", out, err)
@@ -223,7 +216,7 @@ func TestQuorumTransientFaultsConsumeRunsWithoutVoting(t *testing.T) {
 	tc := &scripted{execute: []step{
 		{err: &flake{"rsh: connection dropped"}}, {out: "9\n"}, {out: "9\n"},
 	}}
-	p := New(tc, cfg(8, 7))
+	p := New(tc, Config{})
 	out, err := p.Execute(&asm.Image{})
 	if err != nil || out != "9\n" {
 		t.Fatalf("Execute = %q, %v", out, err)
@@ -239,10 +232,10 @@ func TestQuorumTransientFaultsConsumeRunsWithoutVoting(t *testing.T) {
 
 func TestQuorumExhaustionRetriesWholeQuorum(t *testing.T) {
 	tc := &scripted{execute: []step{
-		{out: "a"}, {out: "b"}, {out: "c"}, // no quorum in 3 runs
+		{out: "a"}, {out: "b"}, {out: "c"}, {out: "e"}, {out: "f"}, {out: "g"}, {out: "h"}, // no quorum in 7 runs
 		{out: "d"}, {out: "d"}, {out: "d"}, // retried quorum at the raised bar
 	}}
-	p := New(tc, cfg(8, 3))
+	p := New(tc, Config{})
 	out, err := p.Execute(&asm.Image{})
 	if err != nil || out != "d" {
 		t.Fatalf("Execute = %q, %v; the retried quorum must settle", out, err)
@@ -253,22 +246,10 @@ func TestQuorumExhaustionRetriesWholeQuorum(t *testing.T) {
 	}
 }
 
-func TestQuorumN1TrustsSingleRuns(t *testing.T) {
-	tc := &scripted{execute: []step{{out: "whatever"}}}
-	p := New(tc, cfg(8, 1))
-	out, err := p.Execute(&asm.Image{})
-	if err != nil || out != "whatever" {
-		t.Fatalf("Execute = %q, %v", out, err)
-	}
-	if st := p.Stats(); st.QuorumRuns != 0 || st.Attempts != 1 {
-		t.Errorf("QuorumN=1 must not re-execute: %+v", st)
-	}
-}
-
 func TestPermanentExecutionErrorsVoteLikeOutputs(t *testing.T) {
 	fault := errors.New("machine: divide by zero at 0x40")
 	tc := &scripted{execute: []step{{out: "", err: fault}, {out: "", err: fault}}}
-	p := New(tc, cfg(8, 7))
+	p := New(tc, Config{})
 	_, err := p.Execute(&asm.Image{})
 	if err == nil || err.Error() != fault.Error() {
 		t.Fatalf("err = %v; a reproducible fault is an observation, not noise", err)
@@ -281,7 +262,7 @@ func TestPermanentExecutionErrorsVoteLikeOutputs(t *testing.T) {
 // TestExpectFirstRunMatchSettlesAlone: on a quiet prober, one run that
 // prints the expected output is the whole quorum.
 func TestExpectFirstRunMatchSettlesAlone(t *testing.T) {
-	p := New(&scripted{execute: []step{{out: "42\n"}}}, cfg(8, 7))
+	p := New(&scripted{execute: []step{{out: "42\n"}}}, Config{})
 	out, err := p.ExecuteExpect(&asm.Image{}, "42\n")
 	if err != nil || out != "42\n" {
 		t.Fatalf("ExecuteExpect = %q, %v; want 42", out, err)
@@ -300,9 +281,9 @@ func TestExpectFirstRunMatchSettlesAlone(t *testing.T) {
 // exactly Execute's.
 func TestExpectMismatchCostsTodaysQuorum(t *testing.T) {
 	script := func() *scripted { return &scripted{execute: []step{{out: "41\n"}, {out: "41\n"}}} }
-	pe := New(script(), cfg(8, 7))
+	pe := New(script(), Config{})
 	got, gerr := pe.ExecuteExpect(&asm.Image{}, "42\n")
-	p := New(script(), cfg(8, 7))
+	p := New(script(), Config{})
 	want, werr := p.Execute(&asm.Image{})
 	if got != want || gerr != werr {
 		t.Errorf("ExecuteExpect = %q, %v; Execute = %q, %v", got, gerr, want, werr)
@@ -316,7 +297,7 @@ func TestExpectMismatchCostsTodaysQuorum(t *testing.T) {
 // the first voting run may still settle alone; the fault is survived once.
 func TestExpectTransientThenMatchSettles(t *testing.T) {
 	tc := &scripted{execute: []step{{err: &flake{"rsh: dropped"}}, {out: "42\n"}}}
-	p := New(tc, cfg(8, 7))
+	p := New(tc, Config{})
 	out, err := p.ExecuteExpect(&asm.Image{}, "42\n")
 	if err != nil || out != "42\n" {
 		t.Fatalf("ExecuteExpect = %q, %v; want 42", out, err)
@@ -335,7 +316,7 @@ func TestExpectLatchedProberNeedsThreeVotes(t *testing.T) {
 		{out: "4X\n"}, {out: "42\n"}, {out: "42\n"}, {out: "42\n"}, // conflict → latched
 		{out: "7\n"}, {out: "8\n"}, {out: "8\n"}, {out: "8\n"}, // forged want, then the truth
 	}}
-	p := New(tc, cfg(8, 7))
+	p := New(tc, Config{})
 	if _, err := p.Execute(&asm.Image{}); err != nil || !p.Noisy() {
 		t.Fatalf("setup: Execute err=%v noisy=%v; want a latched prober", err, p.Noisy())
 	}
@@ -346,19 +327,6 @@ func TestExpectLatchedProberNeedsThreeVotes(t *testing.T) {
 	st := p.Stats()
 	if st.ExpectAccepts != 0 || st.QuorumRuns != 4+4 {
 		t.Errorf("stats = %+v; want expect_accepts=0 quorum_runs=8", st)
-	}
-}
-
-// TestExpectQuorumN1TrustsSingleRuns: QuorumN=1 keeps trusting every single
-// run, with or without an expected output.
-func TestExpectQuorumN1TrustsSingleRuns(t *testing.T) {
-	p := New(&scripted{execute: []step{{out: "whatever"}}}, cfg(8, 1))
-	out, err := p.ExecuteExpect(&asm.Image{}, "42\n")
-	if err != nil || out != "whatever" {
-		t.Fatalf("ExecuteExpect = %q, %v", out, err)
-	}
-	if st := p.Stats(); st.QuorumRuns != 0 || st.Attempts != 1 || st.ExpectAccepts != 0 {
-		t.Errorf("QuorumN=1 must behave as before: %+v", st)
 	}
 }
 
