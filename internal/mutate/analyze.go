@@ -83,7 +83,7 @@ func (e *Engine) Analyze(s *discovery.Sample) (*Analysis, error) {
 // the output.
 func (e *Engine) inertReg(s *discovery.Sample, region []discovery.Instr) (string, bool) {
 	for _, r := range e.freshRegisters(region, 8) {
-		if e.clobberSafe(s, region, r) {
+		if e.clobberSafe(s, region, r, e.clobberValues(2)) {
 			return r, true
 		}
 	}
@@ -91,13 +91,12 @@ func (e *Engine) inertReg(s *discovery.Sample, region []discovery.Instr) (string
 }
 
 // clobberSafe reports whether clobbering r at region start preserves the
-// output under two random values. Both values are drawn before the first
-// probe, so the random stream does not depend on which one breaks. A
+// output under each of the values ks. The caller draws them before the
+// first probe, so the random stream does not depend on which one breaks. A
 // hardwired register, whose writes the machine discards, is safe without a
-// probe; it still draws both values, so the delay-slot fillers drawn after
-// inertReg's pick keep their constants.
-func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r string) bool {
-	ks := e.clobberValues(2)
+// probe; its values are drawn all the same, so the delay-slot fillers drawn
+// after inertReg's pick keep their constants.
+func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r string, ks []int64) bool {
 	if e.hardwired(r) {
 		return true
 	}
@@ -260,11 +259,35 @@ func shiftSet(set map[int]bool, removed int) map[int]bool {
 // at region start (two variants) preserves the output — i.e. registers
 // that are dead on entry and safe to randomize. A stack pointer excludes
 // itself naturally.
+//
+// Nearly every studied register is safe, so each variant is group-tested:
+// one mutant clobbers every studied register at region start with its
+// value of that variant. When both pass, all are safe; this assumes no
+// more than the deletion mutants of eliminateRedundant, which clobber the
+// whole set jointly. Only when one breaks is each register probed alone.
+// Every register's two values are drawn before any probe, in register
+// order, so the random stream does not depend on the verdicts.
 func (e *Engine) safeClobberRegs(s *discovery.Sample, region []discovery.Instr) []string {
 	defer e.enter(anSafeSet)()
+	regs := e.studiedRegisters(region)
+	ks := make([][]int64, len(regs))
+	for i := range regs {
+		ks[i] = e.clobberValues(2)
+	}
+	joint := true
+	for variant := 0; variant < 2 && joint; variant++ {
+		ins := make([]placed, len(regs))
+		for i, r := range regs {
+			ins[i] = placed{0, e.ClobberInstr(r, ks[i][variant])}
+		}
+		joint = e.groupSafe(anSafeSet, s, region, ins)
+	}
+	if joint {
+		return regs
+	}
 	var out []string
-	for _, r := range e.studiedRegisters(region) {
-		if e.clobberSafe(s, region, r) {
+	for i, r := range regs {
+		if e.clobberSafe(s, region, r, ks[i]) {
 			out = append(out, r)
 		}
 	}
@@ -448,6 +471,12 @@ func (a *Analysis) textDead(reg string) []int {
 // redefinitions inside an interval with the copy-of-definition probe
 // (re-running the definition after a group breaks iff someone replaced the
 // value since).
+//
+// The scan's profile decides the rest without a probe. The boundary after
+// the last reader is dead, so a repair planted there is one more clobber
+// of a dead register: the redefinition walk stops before it. An interval
+// live at one boundary alone (end == start) has no middle group and walks
+// nothing, so it needs no repair.
 func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 	defer e.enter(anAttribute)()
 	s := a.Sample
@@ -481,7 +510,7 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 		//   2. a copy of the defining instruction, valid only when its
 		//      sources cannot have changed (no register operands besides
 		//      reg itself).
-		if defGroup < 0 {
+		if defGroup < 0 || end == start {
 			continue
 		}
 		repair, allVals, ok := e.findRepair(a, reg, defGroup, start)
@@ -501,7 +530,7 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 			return e.SameOutputVal(s, mut, 0)
 		}
 		redefAt := -1
-		for g := start; g <= end && end < n; g++ {
+		for g := start; g < end && end < n; g++ {
 			// Repair probe: re-establish reg's defined value after group
 			// g; breakage means someone replaced the value in between.
 			if !same(a.insertAtGroup(g+1, repair)) {

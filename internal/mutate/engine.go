@@ -70,7 +70,7 @@ func RunsCounter(analysis string) string { return "mutate.runs." + analysis }
 // GroupedAnalyses names the analyses that group-test their probes: one
 // joint mutant stands for many that almost always pass, and only a joint
 // mutant that breaks falls back to probing them one at a time.
-var GroupedAnalyses = []string{anDelay, anScan}
+var GroupedAnalyses = []string{anDelay, anSafeSet, anScan}
 
 // JointFallbackCounter names the tracer counter tallying a grouped
 // analysis's joint mutants that broke.
