@@ -33,7 +33,7 @@ func main() {
 			name, len(d.Model.Registers), len(d.Ext.Sems),
 			len(d.Outcome.Solved), len(d.Outcome.Solved)+len(d.Outcome.Failed),
 			valid, len(srcg.ValidationSuite),
-			d.Rig.Stats().Mutations, d.Rig.Stats().Executions)
+			d.Cost.Mutations, d.Cost.Executions)
 	}
 	fmt.Println("\n(the paper, §7.2: \"tested on the integer instruction sets of five")
 	fmt.Println(" machines ... shown to generate (almost) correct machine specifications\")")

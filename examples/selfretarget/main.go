@@ -35,7 +35,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("done: %d instruction semantics, %d samples solved, cost %s\n\n",
-		len(d.Ext.Sems), len(d.Outcome.Solved), d.Rig.Stats())
+		len(d.Ext.Sems), len(d.Outcome.Solved), d.Cost)
 
 	backend := beg.New(d.Spec)
 	for _, p := range programs {

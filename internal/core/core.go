@@ -127,6 +127,11 @@ type Discovery struct {
 	// issued, transient faults retried, quorum re-executions, conflicts
 	// outvoted (see internal/probe).
 	ProbeStats probe.Stats
+	// Cost snapshots the rig's cost counters (compiles, assemblies,
+	// links, executions, mutations, search effort) when Discover returns.
+	// Probes made later through Engine or Rig move Rig.Stats() but not
+	// Cost.
+	Cost discovery.Stats
 	// CheckRetried counts mutation analyses re-run under the checker gate.
 	CheckRetried int
 	// Dropped lists samples abandoned after exhausting their checker-gated
@@ -392,10 +397,12 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 		return nil
 	})
 
-	// The resilience fields are views over the tracer's counters — one
-	// source of truth shared with the trace stream and Report().
+	// The resilience and cost fields are snapshots of the tracer's
+	// counters — one source of truth shared with the trace stream and
+	// Report().
 	d.CheckRetried = int(tr.Counter(CtrCheckRetries))
 	d.ProbeStats = rig.ProbeStats()
+	d.Cost = rig.Stats()
 	if opts.Cache != nil {
 		// Occupancy gauges for the shared probe memo: how many logical
 		// probes this run left memoized and their approximate resident
@@ -550,7 +557,7 @@ func (d *Discovery) Report() string {
 	for _, sig := range sigs {
 		fmt.Fprintf(&sb, "  %-28s %s\n", sig, d.Ext.Sems[sig])
 	}
-	fmt.Fprintf(&sb, "cost: %s\n", d.Rig.Stats())
+	fmt.Fprintf(&sb, "cost: %s\n", d.Cost)
 	fmt.Fprintf(&sb, "probe: %s\n", d.ProbeStats)
 	sb.WriteString("mutants:")
 	for _, an := range mutate.AnalysisNames {
@@ -568,12 +575,8 @@ func (d *Discovery) Report() string {
 			n, d.Trace.Counter(probe.CtrCacheBytes))
 	}
 	// Resilience numbers come from the tracer's counters — the same
-	// source the trace stream reports — falling back to the snapshot
-	// fields for hand-built Discovery values without a tracer.
+	// source the trace stream reports.
 	cr, sd := d.Trace.Counter(CtrCheckRetries), d.Trace.Counter(CtrSamplesDropped)
-	if d.Trace == nil {
-		cr, sd = int64(d.CheckRetried), int64(len(d.Dropped))
-	}
 	if cr > 0 || sd > 0 {
 		fmt.Fprintf(&sb, "resilience: check_retries=%d samples_dropped=%d\n", cr, sd)
 	}

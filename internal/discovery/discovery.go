@@ -180,7 +180,6 @@ type Sample struct {
 // Valuation is one assignment of the hidden initialization values.
 type Valuation struct {
 	A0, B, C, Expect int64
-	InitSource       string
 	ExpectedOut      string
 }
 
@@ -200,8 +199,7 @@ func (s *Sample) NumValuations() int { return len(s.Variants) + 1 }
 // per probe, so this path must not allocate.
 func (s *Sample) Valuation(i int) Valuation {
 	if i == 0 {
-		return Valuation{A0: s.A0, B: s.B, C: s.C, Expect: s.Expect,
-			InitSource: s.InitSource, ExpectedOut: s.ExpectedOut}
+		return Valuation{A0: s.A0, B: s.B, C: s.C, Expect: s.Expect, ExpectedOut: s.ExpectedOut}
 	}
 	return s.Variants[i-1]
 }

@@ -439,7 +439,7 @@ func e10(s *Suite) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := d.Rig.Stats()
+		st := d.Cost
 		t.rowf("%-6s %-7d %-7d %-9d %-10d %d", arch,
 			len(d.Outcome.Solved), len(d.Outcome.Failed), st.SolvedByMatch, st.SolvedBySearch, st.CandidatesTried)
 		metrics[arch+".solved"] = float64(len(d.Outcome.Solved))
@@ -562,8 +562,7 @@ func e15(s *Suite) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := d.Rig.Stats()
-		runs := d.ProbeStats.QuorumRuns
+		st, runs := d.Cost, d.ProbeStats.QuorumRuns
 		t.rowf("%-6s %9d %9d %11d %11d %8d %10d", arch, st.Compiles, st.Assemblies, st.Links, st.Executions, runs, st.Mutations)
 		metrics[arch+".executions"] = float64(st.Executions)
 		metrics[arch+".runs"] = float64(runs)

@@ -31,10 +31,6 @@ type Extractor struct {
 	Bits    int
 	W       Weights
 	MBoosts map[string]map[string]float64
-	// Budget bounds candidates tried per sample — the paper's timeout
-	// ("a time-out function interrupts the interpreter and the sample is
-	// discarded").
-	Budget int
 	// SignedShifts admits the signed-count shift primitive (ash) to the
 	// candidate vocabulary. This is an extension beyond the paper: with it
 	// the VAX's bidirectional ashl — which the paper reports as unhandled
@@ -49,25 +45,24 @@ type Extractor struct {
 	// search from oscillating).
 	retractions int
 
-	// Trace, when non-nil, receives search diagnostics.
-	Trace func(format string, args ...interface{})
-
 	// Tr, when non-nil, receives telemetry: the candidates-tried counter
 	// and the per-solve candidate-cost histogram. A nil tracer is a no-op.
 	Tr *obs.Tracer
 }
 
-// New creates an extractor with default settings. A debugging harness
-// that wants search diagnostics sets Trace on the returned value — there
-// is deliberately no package-level hook: discoveries running concurrently
-// must not share mutable state. Search-effort counters land on Tr (set it
-// after construction; a nil tracer still accepts them as no-ops).
+// budget bounds candidates tried per search — the paper's timeout ("a
+// time-out function interrupts the interpreter and the sample is
+// discarded").
+const budget = 30000
+
+// New creates an extractor with default settings. Search-effort counters
+// land on Tr (set it after construction; a nil tracer still accepts them
+// as no-ops).
 func New(bits int, w Weights, mboosts map[string]map[string]float64) *Extractor {
 	return &Extractor{
 		Bits:    bits,
 		W:       w,
 		MBoosts: mboosts,
-		Budget:  30000,
 		Sems:    map[string]*sem.Sem{},
 	}
 }
@@ -160,9 +155,6 @@ func (x *Extractor) retract(g *dfg.Graph) bool {
 	}
 	if removed {
 		x.retractions++
-		if x.Trace != nil {
-			x.Trace("retract: %s conflicts; its signatures re-open", g.Sample.Name)
-		}
 	}
 	return removed
 }
@@ -228,9 +220,7 @@ func (x *Extractor) solve(g *dfg.Graph) solveResult {
 			// plain left shift by the positive-literal samples, where the
 			// signed-count shift explains the negative-literal ones too).
 			// Replacements must still satisfy every solved graph.
-			if len(needs) == 0 {
-				needs = x.allSigs(g)
-			}
+			needs = x.allSigs(g)
 			if len(needs) <= 3 && x.search(g, needs, true) == solveOK {
 				return solveOK
 			}
@@ -296,26 +286,14 @@ func (x *Extractor) search(g *dfg.Graph, needs []need, fresh bool) solveResult {
 	start := make([]int, len(needs))
 	heap.Push(h, combo{idx: start, score: totalScore(lists, start)})
 	visited := map[string]bool{key(start): true}
-	budget := x.Budget
-	for h.Len() > 0 && budget > 0 {
+	for tried := 0; h.Len() > 0 && tried < budget; tried++ {
 		c := heap.Pop(h).(combo)
-		budget--
 		x.Tr.Count(CtrCandidatesTried, 1)
 		trial := x.overlay(needs, lists, c.idx)
-		if x.Trace != nil && x.Budget-budget <= 8 {
-			ok, err := run(g, trial, x.Bits)
-			x.Trace("%s try %v score=%.2f -> ok=%v err=%v", g.Sample.Name, c.idx, c.score, ok, err)
-			for i, n := range needs {
-				x.Trace("   %s = %s", n.sig, lists[i][c.idx[i]].s)
-			}
-		}
 		if ok, err := run(g, trial, x.Bits); ok && err == nil && x.consistent(trial, needs) {
 			// Commit.
 			for i, n := range needs {
 				x.Sems[n.sig] = mergeSem(x.Sems[n.sig], lists[i][c.idx[i]].s)
-				if x.Trace != nil {
-					x.Trace("commit %s: %s = %s", g.Sample.Name, n.sig, x.Sems[n.sig])
-				}
 			}
 			x.Tr.Count(discovery.CtrSolvedBySearch, 1)
 			return solveOK
@@ -457,9 +435,6 @@ func (x *Extractor) consistent(trial trialSems, needs []need) bool {
 		// is also the reset value) — and such samples are left to fail
 		// alone, as the paper discards unexplainable samples (§5.2.2).
 		if ok, err := run(g, trial, x.Bits); !ok && err == nil {
-			if x.Trace != nil {
-				x.Trace("   inconsistent with %s", g.Sample.Name)
-			}
 			return false
 		}
 	}

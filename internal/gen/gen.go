@@ -554,7 +554,6 @@ func (g *generator) addVariants(s *discovery.Sample) {
 	add := func(a0, b, c, expect int64) {
 		s.Variants = append(s.Variants, discovery.Valuation{
 			A0: a0, B: b, C: c, Expect: expect,
-			InitSource:  InitUnit(a0, b, c),
 			ExpectedOut: fmt.Sprintf("%d\n", int32(expect)),
 		})
 	}

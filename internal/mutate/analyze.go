@@ -527,7 +527,7 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 			if allVals {
 				return e.SameOutput(s, mut)
 			}
-			return e.SameOutputVal(s, mut, 0)
+			return e.SameOutputBase(s, mut)
 		}
 		redefAt := -1
 		for g := start; g < end && end < n; g++ {
@@ -599,7 +599,7 @@ func (e *Engine) findRepair(a *Analysis, reg string, defGroup, start int) (disco
 		tried[v] = true
 		clob := e.ClobberInstr(reg, v)
 		mut := Insert(a.insertAtGroup(start, clob), pos, trash)
-		return clob, e.SameOutputVal(s, mut, 0)
+		return clob, e.SameOutputBase(s, mut)
 	}
 	for _, v := range []int64{s.B, s.C, s.A0, s.K} {
 		if clob, ok := tryConst(v); ok {
@@ -767,7 +767,7 @@ func (e *Engine) DetectHardwired(s *discovery.Sample) map[string]int64 {
 	if path == "" {
 		return out // a memory-to-memory machine (VAX): nothing to probe
 	}
-	init, want := s.Batch()
+	_, want := s.Batch()
 	for _, cand := range e.Model.Registers {
 		if cand == path {
 			continue
@@ -776,11 +776,7 @@ func (e *Engine) DetectHardwired(s *discovery.Sample) map[string]int64 {
 		for i := range mut {
 			mut[i].RenameReg(path, cand)
 		}
-		got, err := e.run(e.build(s, mut), init, want)
-		if err != nil {
-			continue
-		}
-		if v, ok := hardwiredValue(s, splitLines(got, s.NumValuations())); ok {
+		if v, ok := hardwiredValue(s, e.lines(e.build(s, mut), want)); ok {
 			out[cand] = v
 		}
 	}

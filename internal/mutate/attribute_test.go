@@ -54,7 +54,7 @@ func probeAllAttribute(e *Engine, a *Analysis, reg string, live []bool) (endProb
 			if allVals {
 				return e.SameOutput(a.Sample, mut)
 			}
-			return e.SameOutputVal(a.Sample, mut, 0)
+			return e.SameOutputBase(a.Sample, mut)
 		}
 		redefAt := -1
 		for g := start; g <= end && end < n; g++ {

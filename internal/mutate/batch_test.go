@@ -11,9 +11,10 @@ import (
 // TestBatchedVerdictMatchesValuations: one run of the image that hands
 // out every valuation must reach the verdict the valuations reach one
 // image each. Over every single-instruction deletion of every x86 sample,
-// SameOutput must equal the AND of SameOutputVal over the valuations, and
-// among them a conditional sample's deletion must pass its base valuation
-// and break a later one, so the batch is seen to run past the first.
+// SameOutput must equal the AND over the valuations of each one linked
+// alone with Fig. 3's initializer, and among them a conditional sample's
+// deletion must pass its base valuation and break a later one, so the
+// batch is seen to run past the first.
 //
 // The one exception is stricter, never laxer: without int.call.b_c's
 // push of c, P2 reads its second argument from c's own stack slot, so
@@ -37,9 +38,10 @@ func TestBatchedVerdictMatchesValuations(t *testing.T) {
 		s := samples[n]
 		for i := range s.Region {
 			mut := Delete(s.Region, i)
+			m := e.build(s, mut)
 			each, baseOK := true, false
 			for val := 0; val < s.NumValuations(); val++ {
-				ok := e.SameOutputVal(s, mut, val)
+				ok := e.prints(m, initOf(s, val), s.Valuation(val).ExpectedOut)
 				if val == 0 {
 					baseOK = ok
 				}

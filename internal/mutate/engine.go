@@ -104,10 +104,8 @@ type Units map[string]*asm.Unit
 // CompileUnits compiles and assembles, in sample order, each distinct
 // unit the samples' mutation analyses link: the base valuation's
 // initializer (the attribution probes'), the batched initializer and the
-// helpers. The other valuations' initializers serve only FindMemWriter's
-// fallback, which an engine compiles on demand. A source that fails is
-// left out, so an engine that needs it compiles it again and sees the
-// error.
+// helpers. A source that fails is left out, so an engine that needs it
+// compiles it again and sees the error.
 func CompileUnits(rig *discovery.Rig, samples []*discovery.Sample) Units {
 	t := Units{}
 	for _, s := range samples {
@@ -166,14 +164,14 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 	return e.sameAll(e.build(s, region))
 }
 
-// SameOutputVal checks a single valuation (index 0 is the base). The
-// value-specific attribution probes (§4.4's repair insertions) use the
-// base valuation only, since their repair constants are drawn from it.
-// The mutant runs with its expected output, an exact reference, as
-// Rig.LinkRun's want, so on a machine never caught lying one run that
-// reproduces it settles the verdict.
-func (e *Engine) SameOutputVal(s *discovery.Sample, region []discovery.Instr, val int) bool {
-	return e.same(e.build(s, region), val)
+// SameOutputBase checks the base valuation alone, under Fig. 3's
+// one-valuation initializer. The value-specific attribution probes
+// (§4.4's repair insertions) use it, since their repair constants are
+// drawn from the base valuation. The mutant runs with its expected
+// output, an exact reference, as Rig.LinkRun's want, so on a machine
+// never caught lying one run that reproduces it settles the verdict.
+func (e *Engine) SameOutputBase(s *discovery.Sample, region []discovery.Instr) bool {
+	return e.prints(e.build(s, region), s.InitSource, s.ExpectedOut)
 }
 
 // CheckBaseline fails unless the unmutated sample reproduces the
@@ -202,12 +200,13 @@ func (e *Engine) AssumeBaseline(s *discovery.Sample) {
 	e.baseOK = s
 }
 
-// OutputOf runs the sample with a replacement region under valuation val
-// under the full output quorum and returns the raw stdout, for the
-// Synthesizer's probes that compare two outputs observed on the machine.
-func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr, val int) (string, error) {
+// OutputOf runs the sample with a replacement region under its base
+// valuation and the full output quorum and returns the raw stdout, for
+// the Synthesizer's probes that compare two outputs observed on the
+// machine.
+func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr) (string, error) {
 	defer e.enter(anSynth)()
-	return e.run(e.build(s, region), s.Valuation(val).InitSource, "")
+	return e.run(e.build(s, region), s.InitSource, "")
 }
 
 // PrintsAll assembles the sample with a replacement region and reports
@@ -265,12 +264,6 @@ func (e *Engine) run(m mutant, init, want string) (string, error) {
 func (e *Engine) prints(m mutant, init, want string) bool {
 	out, err := e.run(m, init, want)
 	return err == nil && out == want
-}
-
-// same reports whether m reproduces valuation val's expected output.
-func (e *Engine) same(m mutant, val int) bool {
-	v := m.s.Valuation(val)
-	return e.prints(m, v.InitSource, v.ExpectedOut)
 }
 
 // sameAll reports whether m reproduces the expected output of every

@@ -179,23 +179,6 @@ var singletonRuns = map[string]int64{
 	"x86": 941, "sparc": 1612, "mips": 1798, "alpha": 2449, "vax": 502,
 }
 
-// learnFacts gives e the machine facts a discovery learns before its
-// mutation phase, which keep the clobber analyses off the registers they
-// decide: the base registers of the constant sample's output cell
-// (Model.Frame) and the hardwired registers. Without them every safe set
-// studies the frame register, which no clobber spares, and its group test
-// never passes.
-func learnFacts(e *Engine, samples map[string]*discovery.Sample) {
-	for _, ins := range samples["int.const.34117"].Region {
-		for _, arg := range ins.Args {
-			if arg.Kind == discovery.KMem {
-				e.Model.Frame = arg.Regs
-			}
-		}
-	}
-	e.Model.Hardwired = e.DetectHardwired(samples["int.move.b"])
-}
-
 // groupedRuns sums the mutant runs of the grouped analyses e has tallied
 // and the joint mutants that fell back.
 func groupedRuns(e *Engine) (runs, fallbacks int64) {
@@ -222,8 +205,6 @@ func TestJointFallbackMatchesSingletons(t *testing.T) {
 		ref, samples := setup(t, ctor())
 		jb := &jointBreaker{Toolchain: ctor()}
 		e, _ := setup(t, jb)
-		learnFacts(ref, samples)
-		learnFacts(e, samples)
 		name := jb.Name()
 		names := make([]string, 0, len(samples))
 		for n := range samples {

@@ -42,49 +42,30 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 	n := s.NumValuations()
 	nStaging := len(discovery.Registers(storeSeq))
 	fresh := slices.DeleteFunc(e.freshRegisters(a.Region, nStaging+4), e.hardwired)
-	init, _ := s.Batch()
 	// printed runs the j-th constant's probe at p, once, and returns
 	// which valuations printed the constant. The want is computed: the
 	// constant on the lines guess marks, each other valuation's
-	// ExpectedOut; a wrong guess only costs the quorum. If the run fails
-	// or prints other than one line per valuation, the valuations in vals
-	// are probed one at a time on the same mutant under Fig. 3's
-	// initializer instead, and the others count as misses.
-	printed := func(p *memProbe, j, pos, offset int, vals []int, guess []bool) []bool {
-		if p.m[j].s == nil {
-			p.m[j] = e.build(s, storeProbe(a.Region, storeSeq, lit, memConsts[j], fresh[offset:], pos))
-		}
-		line := constLine(memConsts[j])
+	// ExpectedOut; a wrong guess only costs the quorum. A run that fails
+	// or prints other than one line per valuation is a miss for every
+	// valuation.
+	printed := func(p *memProbe, j, pos, offset int, guess []bool) []bool {
 		if p.out[j] == nil {
 			p.out[j] = make([]bool, n)
-			out, err := e.run(p.m[j], init, memWant(s, line, guess))
-			if lines := splitLines(out, n); err == nil && lines != nil {
-				for val, l := range lines {
-					p.out[j][val] = l == line
-				}
-				p.batched[j] = true
-			}
-		}
-		if !p.batched[j] && p.m[j].err == nil {
-			for _, val := range vals {
-				p.out[j][val] = e.prints(p.m[j], s.Valuation(val).InitSource, line)
+			line := constLine(memConsts[j])
+			m := e.build(s, storeProbe(a.Region, storeSeq, lit, memConsts[j], fresh[offset:], pos))
+			for val, l := range e.lines(m, memWant(s, line, guess)) {
+				p.out[j][val] = l == line
 			}
 		}
 		return p.out[j]
 	}
-	// probe runs p's probes for the valuations in vals: the first
-	// constant's, then the second's only if one of vals printed the first,
-	// guessing it wherever the first printed.
+	// probe runs p's probes: the first constant's, then the second's only
+	// if one of vals printed the first, guessing it wherever the first
+	// printed.
 	probe := func(p *memProbe, pos, offset int, vals []int, guess []bool) {
-		guess = printed(p, 0, pos, offset, vals, guess)
-		var next []int
-		for _, val := range vals {
-			if guess[val] {
-				next = append(next, val)
-			}
-		}
-		if len(next) > 0 {
-			printed(p, 1, pos, offset, next, guess)
+		guess = printed(p, 0, pos, offset, guess)
+		if slices.ContainsFunc(vals, func(val int) bool { return guess[val] }) {
+			printed(p, 1, pos, offset, guess)
 		}
 	}
 	// Pick a register renaming the probe survives: at region end the probe
@@ -143,7 +124,7 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 			continue
 		}
 		p := &memProbe{}
-		if !every(printed(p, 0, pos, offset, live, guess)) || !every(printed(p, 1, pos, offset, live, p.out[0])) {
+		if !every(printed(p, 0, pos, offset, guess)) || !every(printed(p, 1, pos, offset, p.out[0])) {
 			break
 		}
 		prev, guess = pos, p.out[0]
@@ -151,14 +132,10 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 	a.AWriter = lastWriter(a, prev)
 }
 
-// memProbe is one position's pair of FindMemWriter probes: each
-// constant's mutant, assembled on first use, and which valuations printed
-// that constant (nil until it runs). batched records that one run of the
-// batched image settled every valuation's verdict.
+// memProbe is one position's pair of FindMemWriter probes: which
+// valuations printed each constant (nil until its probe runs).
 type memProbe struct {
-	m       [2]mutant
-	out     [2][]bool
-	batched [2]bool
+	out [2][]bool
 }
 
 // hit reports whether valuation val printed both constants, once the
@@ -243,11 +220,16 @@ func memWant(s *discovery.Sample, line string, guess []bool) string {
 	return sb.String()
 }
 
-// splitLines splits the output of an image that runs n valuations into
-// their lines, each with its newline, or returns nil unless it is exactly
-// n lines.
-func splitLines(out string, n int) []string {
-	if strings.Count(out, "\n") != n || !strings.HasSuffix(out, "\n") {
+// lines runs m's batched image, which runs every valuation, against
+// want, an exact reference output, and returns each valuation's line with
+// its newline, or nil when the run fails or prints other than one line
+// per valuation. FindMemWriter and DetectHardwired read their verdicts
+// off these lines.
+func (e *Engine) lines(m mutant, want string) []string {
+	init, _ := m.s.Batch()
+	out, err := e.run(m, init, want)
+	n := m.s.NumValuations()
+	if err != nil || strings.Count(out, "\n") != n || !strings.HasSuffix(out, "\n") {
 		return nil
 	}
 	return strings.SplitAfter(out, "\n")[:n]

@@ -39,7 +39,7 @@ func memHits(e *Engine, a *Analysis, storeSeq []discovery.Instr, lit int64) (hit
 			if m.s == nil {
 				*m = e.build(a.Sample, storeProbe(a.Region, storeSeq, lit, k, fresh[offset:], pos))
 			}
-			if !e.prints(*m, a.Sample.Valuation(val).InitSource, constLine(k)) {
+			if !e.prints(*m, initOf(a.Sample, val), constLine(k)) {
 				return false
 			}
 		}
@@ -154,7 +154,7 @@ func hardwiredPerValuation(e *Engine, s *discovery.Sample) map[string]int64 {
 		var value int64
 		hard := true
 		for val := 0; val < s.NumValuations() && hard; val++ {
-			got, err := e.run(m, s.Valuation(val).InitSource, "")
+			got, err := e.run(m, initOf(s, val), "")
 			var v int64
 			if err == nil {
 				_, err = fmt.Sscanf(got, "%d", &v)
@@ -169,26 +169,19 @@ func hardwiredPerValuation(e *Engine, s *discovery.Sample) map[string]int64 {
 	return out
 }
 
-// lineMachine edits what the machine prints. With drop set it loses the
-// last line of every output of two or more lines, as a batched image
-// that stops one valuation short would. With shift set it prints each
-// planted FindMemWriter constant one higher on every line but the
+// lineMachine edits what the machine prints. With shift set it prints
+// each planted FindMemWriter constant one higher on every line but the
 // first, as a machine no computed reference can predict would; it then
 // records each image's runs and last output.
 type lineMachine struct {
 	target.Toolchain
-	drop, shift bool
-	dropped     int
-	runs        map[*asm.Image]int
-	outs        map[*asm.Image]string
+	shift bool
+	runs  map[*asm.Image]int
+	outs  map[*asm.Image]string
 }
 
 func (m *lineMachine) Execute(img *asm.Image) (string, error) {
 	out, err := m.Toolchain.Execute(img)
-	if m.drop && strings.Count(out, "\n") > 1 {
-		m.dropped++
-		out = out[:strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n")+1]
-	}
 	if m.shift {
 		lines := strings.SplitAfter(out, "\n")
 		for i := 1; i < len(lines); i++ {
@@ -208,10 +201,8 @@ func (m *lineMachine) Execute(img *asm.Image) (string, error) {
 // TestBatchedMemWriterMatchesValuations: on every quick and full sample
 // of the five targets at seeds 1-3, FindMemWriter's backward walk, one
 // image per (position, constant), must find the writer the forward walk
-// finds probing one valuation at a time, also when every batched image
-// loses its last line and the valuations fall back to Fig. 3's probe, and
-// DetectHardwired's one image per candidate must find the registers the
-// per-valuation rule finds.
+// finds probing one valuation at a time, and DetectHardwired's one image
+// per candidate must find the registers the per-valuation rule finds.
 func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 	hardwired, reordered := 0, 0
 	for _, tc := range []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()} {
@@ -219,8 +210,7 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 			found := 0
 			for _, full := range []bool{false, true} {
 				for seed := int64(1); seed <= 3; seed++ {
-					m := &lineMachine{Toolchain: tc}
-					e, samples := setupSet(t, m, gen.Config{Rand: rand.New(rand.NewSource(seed)), Full: full})
+					e, samples := setupSet(t, tc, gen.Config{Rand: rand.New(rand.NewSource(seed)), Full: full})
 					constA := analyze(t, e, samples["int.const.34117"])
 					names := make([]string, 0, len(samples))
 					for n := range samples {
@@ -255,16 +245,6 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 							if memWriterPerValuation(e, &lead, constA.Region, 34117) != want {
 								reordered++
 							}
-						}
-						m.drop = true
-						dropped := m.dropped
-						e.FindMemWriter(a, constA.Region, 34117)
-						m.drop = false
-						if a.AWriter != want {
-							t.Errorf("%s: writer %d after falling back, per-valuation writer %d", n, a.AWriter, want)
-						}
-						if want >= 0 && a.Sample.NumValuations() > 1 && m.dropped == dropped {
-							t.Errorf("%s: no batched image lost a line; the fallback went untested", n)
 						}
 						if want >= 0 {
 							found++
@@ -368,7 +348,7 @@ func rotate(s *discovery.Sample, r int) *discovery.Sample {
 	vals = append(vals[r:], vals[:r]...)
 	c := *s
 	v := vals[0]
-	c.A0, c.B, c.C, c.Expect, c.InitSource, c.ExpectedOut = v.A0, v.B, v.C, v.Expect, v.InitSource, v.ExpectedOut
+	c.A0, c.B, c.C, c.Expect, c.InitSource, c.ExpectedOut = v.A0, v.B, v.C, v.Expect, initOf(s, r), v.ExpectedOut
 	c.Variants = vals[1:]
 	c.BatchInitSource = gen.BatchInitUnit(vals)
 	c.BatchExpectedOut = ""

@@ -53,7 +53,7 @@ func (in Input) deriveChains(s *Spec) {
 		if !found {
 			return "", false
 		}
-		out, err := in.Engine.OutputOf(smp, region, 0)
+		out, err := in.Engine.OutputOf(smp, region)
 		if err != nil {
 			return "", false
 		}
