@@ -26,6 +26,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
-		fmt.Printf("==== %s — %s ====\n%s\n", r.ID, r.Title, r.Report)
+		fmt.Print(r)
 	}
 }

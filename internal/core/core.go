@@ -35,11 +35,12 @@ type Options struct {
 	// paper): the reverse interpreter may use a signed-count shift,
 	// resolving the VAX ashl limitation of §5.2.3.
 	SignedShifts bool
-	// NoVariants strips the extra hidden-value valuations from every
-	// sample — an ablation knob (E20). Single-valuation samples are what
-	// the paper literally describes; without the variants, conditional
-	// samples lose their dead branch to redundancy elimination and
-	// value-symmetric misinterpretations slip through.
+	// NoVariants has the Generator give every sample its base valuation
+	// only (gen.Config.NoVariants) — an ablation knob (E20). One
+	// valuation per sample is what the paper literally describes; without
+	// the variants, conditional samples lose their dead branch to
+	// redundancy elimination and value-symmetric misinterpretations slip
+	// through.
 	NoVariants bool
 	// Check runs the static verification layer (internal/check) over
 	// every data-flow graph and the synthesized spec, attaching a
@@ -88,12 +89,11 @@ const DefaultCheckRetries = 2
 // constantExpect reports whether every valuation of s expects the same
 // output — a degenerate sample that cannot pin value-dependent semantics.
 func constantExpect(s *discovery.Sample) bool {
-	vals := s.Valuations()
-	if len(vals) < 2 {
+	if len(s.Vals) < 2 {
 		return false // a single valuation carries no variance information
 	}
-	for _, v := range vals[1:] {
-		if v.Expect != vals[0].Expect {
+	for _, v := range s.Vals[1:] {
+		if v.Expect != s.Vals[0].Expect {
 			return false
 		}
 	}
@@ -167,14 +167,9 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 	var model *discovery.Model
 	err := tr.Phase(obs.PhaseLexerBootstrap, func() error {
 		var err error
-		samples, err = gen.Samples(gen.Config{Rand: rnd, Full: opts.Full})
+		samples, err = gen.Samples(gen.Config{Rand: rnd, Full: opts.Full, NoVariants: opts.NoVariants})
 		if err != nil {
 			return err
-		}
-		if opts.NoVariants {
-			for _, s := range samples {
-				s.Variants = nil
-			}
 		}
 		model, err = lexer.Bootstrap(rig, samples)
 		return err
@@ -264,12 +259,17 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 		// outcomes are identical at any worker count.
 		results := pool.RunRig(rig, len(work), func(i int, sub *discovery.Rig) preprocessed {
 			s := work[i]
-			eng := newEngine(sub, rand.New(rand.NewSource(sampleSeed(opts.Seed, s.Name))))
 			if baselines[i] != nil {
 				return preprocessed{skip: baselines[i].Error()}
 			}
-			eng.AssumeBaseline(s)
-			a, g, err := p.run(eng, s)
+			// Every attempt, retries included, takes the baseline the
+			// batch above passed.
+			run := func(seed int64) (*mutate.Analysis, *dfg.Graph, error) {
+				eng := newEngine(sub, rand.New(rand.NewSource(seed)))
+				eng.AssumeBaseline(s)
+				return p.run(eng, s)
+			}
+			a, g, err := run(sampleSeed(opts.Seed, s.Name))
 			if err != nil {
 				return preprocessed{a: a, skip: err.Error()}
 			}
@@ -285,7 +285,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			diags := check.VerifyGraph(model, a, g)
 			for retry := 1; countErrors(diags) > 0 && retry <= DefaultCheckRetries; retry++ {
 				sub.Trace().Count(CtrCheckRetries, 1)
-				a2, g2, err := p.run(newEngine(sub, rand.New(rand.NewSource(retrySeed(opts.Seed, s.Name, retry)))), s)
+				a2, g2, err := run(retrySeed(opts.Seed, s.Name, retry))
 				if err != nil {
 					continue
 				}

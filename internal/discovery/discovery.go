@@ -137,36 +137,32 @@ const (
 // Sample is one generated C program together with everything the pipeline
 // learns about it. CSource/InitSource are the two translation units of the
 // Fig. 3 harness and HelperSource the procedures call samples call, linked
-// beside them; ExpectedOut is the stdout of the unmutated program.
+// beside them.
 type Sample struct {
 	Name         string
 	Kind         PayloadKind
 	COp          string // C operator for PBinary/PUnary ("+", "-", ...); relation for PCond
 	Payload      string // the C statement(s) between Begin and End
 	CSource      string
-	InitSource   string
+	InitSource   string // Fig. 3's initializer: the base valuation, Vals[0]
 	HelperSource string
 
-	// Operand shape metadata ("b,c", "a,K", "K,b", ...) and the concrete
-	// initialization values chosen by the Monte-Carlo chooser.
-	Shape  string
-	A0     int64 // initial value of a
-	B, C   int64
-	K      int64 // literal embedded in the payload, if any
-	Expect int64 // expected final value of a
+	// Operand shape metadata ("b,c", "a,K", "K,b", ...) and the literal
+	// embedded in the payload, if any.
+	Shape string
+	K     int64
 
-	ExpectedOut string
-
-	// Variants are additional hidden-value assignments for the same
-	// payload. Mutation verdicts must hold under every valuation — a dead
-	// branch under one set of values is alive under another, so variants
-	// keep semantically meaningful instructions from being "redundant",
-	// and they break value-symmetric misinterpretations in the Extractor.
-	Variants []Valuation
+	// Vals are the hidden-value assignments the payload runs under, the
+	// base valuation first. Mutation verdicts must hold under every
+	// valuation — a dead branch under one set of values is alive under
+	// another, so the further valuations keep semantically meaningful
+	// instructions from being "redundant", and they break value-symmetric
+	// misinterpretations in the Extractor.
+	Vals []Valuation
 	// BatchInitSource replaces InitSource to run every valuation, in
 	// order, in one execution, which prints BatchExpectedOut: each
-	// valuation's expected output in turn. Set only for a sample generated
-	// with variants; see Batch.
+	// valuation's expected output in turn. For a one-valuation sample
+	// they are InitSource and Vals[0].ExpectedOut.
 	BatchInitSource  string
 	BatchExpectedOut string
 
@@ -177,42 +173,11 @@ type Sample struct {
 
 }
 
-// Valuation is one assignment of the hidden initialization values.
+// Valuation is one assignment of the hidden initialization values and
+// the stdout of the unmutated program under it.
 type Valuation struct {
 	A0, B, C, Expect int64
 	ExpectedOut      string
-}
-
-// Valuations returns the base valuation followed by the variants.
-func (s *Sample) Valuations() []Valuation {
-	out := make([]Valuation, 0, len(s.Variants)+1)
-	out = append(out, s.Valuation(0))
-	return append(out, s.Variants...)
-}
-
-// NumValuations reports how many valuations the sample carries: the base
-// plus the variants.
-func (s *Sample) NumValuations() int { return len(s.Variants) + 1 }
-
-// Valuation returns valuation i without building the full slice — index 0
-// is the base, the rest are the variants. Mutation analysis looks one up
-// per probe, so this path must not allocate.
-func (s *Sample) Valuation(i int) Valuation {
-	if i == 0 {
-		return Valuation{A0: s.A0, B: s.B, C: s.C, Expect: s.Expect, ExpectedOut: s.ExpectedOut}
-	}
-	return s.Variants[i-1]
-}
-
-// Batch returns the initializer and expected output of the image that
-// runs every valuation of s in one execution. A sample with one
-// valuation, also one whose variants were stripped, runs it under
-// InitSource.
-func (s *Sample) Batch() (initSource, expectedOut string) {
-	if s.NumValuations() == 1 {
-		return s.InitSource, s.ExpectedOut
-	}
-	return s.BatchInitSource, s.BatchExpectedOut
 }
 
 // Rebuild reassembles the sample's full text with a replacement region.

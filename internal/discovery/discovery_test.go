@@ -83,15 +83,6 @@ func TestRegisters(t *testing.T) {
 	}
 }
 
-func TestValuations(t *testing.T) {
-	s := &Sample{A0: 1, B: 2, C: 3, Expect: 5, InitSource: "i", ExpectedOut: "5\n",
-		Variants: []Valuation{{A0: 9, B: 8, C: 7, Expect: 15, ExpectedOut: "15\n"}}}
-	vs := s.Valuations()
-	if len(vs) != 2 || vs[0].B != 2 || vs[1].B != 8 {
-		t.Errorf("Valuations = %+v", vs)
-	}
-}
-
 func TestRebuild(t *testing.T) {
 	s := &Sample{
 		PreLines:  []string{"head:", "\tnop"},

@@ -38,6 +38,12 @@ type Result struct {
 	Metrics map[string]float64
 }
 
+// String renders r as cmd/experiments prints it and EXPERIMENTS.md
+// records it: a "==== ID — Title ====" line, the report, a blank line.
+func (r *Result) String() string {
+	return fmt.Sprintf("==== %s — %s ====\n%s\n", r.ID, r.Title, r.Report)
+}
+
 // Archs lists the evaluated architectures in the paper's order.
 var Archs = []string{"sparc", "alpha", "mips", "vax", "x86"}
 

@@ -93,9 +93,7 @@ func (x *Extractor) SolveAll(graphs []*dfg.Graph) Outcome {
 		for _, g := range remaining {
 			before := x.Tr.Counter(CtrCandidatesTried)
 			verdict := x.solve(g)
-			if x.Tr != nil {
-				x.Tr.Observe(HistCandidatesPerSolve, x.Tr.Counter(CtrCandidatesTried)-before)
-			}
+			x.Tr.Observe(HistCandidatesPerSolve, x.Tr.Counter(CtrCandidatesTried)-before)
 			switch verdict {
 			case solveOK:
 				out.Solved = append(out.Solved, g.Sample.Name)
@@ -180,27 +178,27 @@ func (x *Extractor) missing(g *dfg.Graph) []need {
 	seen := map[string]bool{}
 	for i := range g.Steps {
 		st := &g.Steps[i]
-		if seen[st.Sig] {
-			continue
-		}
-		s := x.Sems[st.Sig]
-		incomplete := s == nil
-		if s != nil {
-			for _, p := range st.Outs {
-				if s.Outs[p.Key()] == nil {
-					incomplete = true
-				}
-			}
-			if st.Target != "" && len(st.Outs) == 0 && s.Cond == nil {
-				incomplete = true
-			}
-		}
-		if incomplete {
+		if !seen[st.Sig] && !complete(st, x.Sems[st.Sig]) {
 			seen[st.Sig] = true
 			out = append(out, need{sig: st.Sig, step: st})
 		}
 	}
 	return out
+}
+
+// complete reports whether s is everything evaluating step st needs: the
+// semantics exist, every output port has a tree, and a branch with no
+// outputs has a condition.
+func complete(st *dfg.Step, s *sem.Sem) bool {
+	if s == nil {
+		return false
+	}
+	for _, p := range st.Outs {
+		if s.Outs[p.Key()] == nil {
+			return false
+		}
+	}
+	return st.Target == "" || len(st.Outs) > 0 || s.Cond != nil
 }
 
 // solve attempts one sample.
@@ -408,17 +406,7 @@ func (x *Extractor) consistent(trial trialSems, needs []need) bool {
 	}
 	decidable := func(g *dfg.Graph) bool {
 		for i := range g.Steps {
-			st := &g.Steps[i]
-			s, _ := trial.lookup(st.Sig)
-			if s == nil {
-				return false
-			}
-			for _, p := range st.Outs {
-				if s.Outs[p.Key()] == nil {
-					return false
-				}
-			}
-			if st.Target != "" && len(st.Outs) == 0 && s.Cond == nil {
+			if s, _ := trial.lookup(g.Steps[i].Sig); !complete(&g.Steps[i], s) {
 				return false
 			}
 		}

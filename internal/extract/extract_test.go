@@ -12,12 +12,10 @@ import (
 // synthetic graph builders --------------------------------------------------
 
 func sample(name string, kind discovery.PayloadKind, op, shape string, a0, b, c, expect int64) *discovery.Sample {
-	s := &discovery.Sample{Name: name, Kind: kind, COp: op, Shape: shape,
-		A0: a0, B: b, C: c, Expect: expect}
 	// One extra valuation keeps value-symmetric misreadings out.
-	s.Variants = []discovery.Valuation{{A0: a0 + 11, B: b + 7, C: c + 3,
-		Expect: reeval(op, kind, b+7, c+3)}}
-	return s
+	return &discovery.Sample{Name: name, Kind: kind, COp: op, Shape: shape,
+		Vals: []discovery.Valuation{{A0: a0, B: b, C: c, Expect: expect},
+			{A0: a0 + 11, B: b + 7, C: c + 3, Expect: reeval(op, kind, b+7, c+3)}}}
 }
 
 func reeval(op string, kind discovery.PayloadKind, b, c int64) int64 {
@@ -86,8 +84,8 @@ func condGraph(b, c, a0, k int64) *dfg.Graph {
 	if b < c { // branch skips the store when b<c (negated relation)
 		expect = a0
 	}
-	s := &discovery.Sample{Name: "cond", Kind: discovery.PCond, COp: ">=",
-		A0: a0, B: b, C: c, K: k, Expect: expect}
+	s := &discovery.Sample{Name: "cond", Kind: discovery.PCond, COp: ">=", K: k,
+		Vals: []discovery.Valuation{{A0: a0, B: b, C: c, Expect: expect}}}
 	return &dfg.Graph{
 		Sample: s,
 		Labels: map[string]int{"L": 4},
@@ -280,14 +278,13 @@ func shiftGraph(name string, k, b, a0 int64) *dfg.Graph {
 	if k < 0 {
 		op = ">>"
 	}
-	s := &discovery.Sample{Name: name, Kind: discovery.PBinary, COp: op,
-		Shape: "b,K", A0: a0, B: b, C: 3, K: k, Expect: expect}
 	v2b := b + 64
 	v2e := int64(int32(v2b) << uint(k))
 	if k < 0 {
 		v2e = int64(int32(v2b) >> uint(-k))
 	}
-	s.Variants = []discovery.Valuation{{A0: a0 + 5, B: v2b, C: 3, Expect: v2e}}
+	s := &discovery.Sample{Name: name, Kind: discovery.PBinary, COp: op, Shape: "b,K", K: k,
+		Vals: []discovery.Valuation{{A0: a0, B: b, C: 3, Expect: expect}, {A0: a0 + 5, B: v2b, C: 3, Expect: v2e}}}
 	return &dfg.Graph{
 		Sample: s,
 		Labels: map[string]int{}, SlotA: "A", SlotB: "B", SlotC: "C",

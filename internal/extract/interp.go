@@ -34,8 +34,7 @@ func Run(g *dfg.Graph, sems map[string]*sem.Sem, bits int) (bool, error) {
 // candidate combos per sample, and the overlay spares it a full map copy
 // for each one.
 func run(g *dfg.Graph, sems trialSems, bits int) (bool, error) {
-	for i := 0; i < g.Sample.NumValuations(); i++ {
-		v := g.Sample.Valuation(i)
+	for _, v := range g.Sample.Vals {
 		ok, err := runOne(g, sems, bits, v.A0, v.B, v.C, v.Expect)
 		if !ok || err != nil {
 			return ok, err

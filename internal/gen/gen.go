@@ -34,6 +34,9 @@ type Config struct {
 	// "b,c" shape is generated (enough for semantic extraction, much
 	// cheaper for tests).
 	Full bool
+	// NoVariants keeps each sample's base valuation only: Fig. 3's one
+	// hidden Init, as the paper describes it (core.Options.NoVariants).
+	NoVariants bool
 }
 
 // Harness renders the Fig. 3 main translation unit around a payload,
@@ -347,10 +350,9 @@ func (g *generator) binary(op, shape string) (*discovery.Sample, error) {
 		COp:     op,
 		Payload: payload,
 		Shape:   shape,
-		A0:      a0, B: b, C: c, K: k,
-		Expect: expect,
+		K:       k,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: expect})
 	return s, nil
 }
 
@@ -369,10 +371,8 @@ func (g *generator) unary(op string) *discovery.Sample {
 		COp:     op,
 		Payload: fmt.Sprintf("a = %sb;", op),
 		Shape:   "b",
-		A0:      a0, B: b, C: c,
-		Expect: expect,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: expect})
 	return s
 }
 
@@ -385,10 +385,8 @@ func (g *generator) move() *discovery.Sample {
 		COp:     "",
 		Payload: "a = b;",
 		Shape:   "b",
-		A0:      a0, B: b, C: c,
-		Expect: b,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: b})
 	return s
 }
 
@@ -400,10 +398,9 @@ func (g *generator) constant(k int64) *discovery.Sample {
 		Kind:    discovery.PConst,
 		Payload: fmt.Sprintf("a = %d;", k),
 		Shape:   "K",
-		A0:      a0, B: b, C: c, K: k,
-		Expect: k,
+		K:       k,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: k})
 	return s
 }
 
@@ -453,10 +450,9 @@ func (g *generator) cond(rel, flavor string) *discovery.Sample {
 		COp:     rel,
 		Payload: fmt.Sprintf("if (b %s c) a = %d;", rel, k),
 		Shape:   "b,c",
-		A0:      a0, B: b, C: c, K: k,
-		Expect: expect,
+		K:       k,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: expect})
 	return s
 }
 
@@ -468,10 +464,8 @@ func (g *generator) call0() *discovery.Sample {
 		Kind:    discovery.PCall,
 		Payload: "a = P0();",
 		Shape:   "",
-		A0:      a0, B: b, C: c,
-		Expect: 19,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: 19})
 	return s
 }
 
@@ -483,10 +477,8 @@ func (g *generator) call1() *discovery.Sample {
 		Kind:    discovery.PCall,
 		Payload: "a = P(b);",
 		Shape:   "b",
-		A0:      a0, B: b, C: c,
-		Expect: int64(int32(b) - 42),
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: int64(int32(b) - 42)})
 	return s
 }
 
@@ -498,10 +490,8 @@ func (g *generator) call2() *discovery.Sample {
 		Kind:    discovery.PCall,
 		Payload: "a = P2(b, c);",
 		Shape:   "b,c",
-		A0:      a0, B: b, C: c,
-		Expect: int64(int32(b) - int32(c) - 17),
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: int64(int32(b) - int32(c) - 17)})
 	return s
 }
 
@@ -518,44 +508,46 @@ func (g *generator) stress() *discovery.Sample {
 		Kind:    discovery.PStress,
 		Payload: "a = (b + c) + ((b - c) + ((b & c) + ((b | c) + (b ^ c))));",
 		Shape:   "b,c",
-		A0:      a0, B: b, C: c,
-		Expect: expect,
 	}
-	g.finish(s)
+	g.finish(s, discovery.Valuation{A0: a0, B: b, C: c, Expect: expect})
 	return s
 }
 
-// finish fills the C sources and expected stdout, then attaches two extra
+// finish renders the C sources around base and attaches two extra
 // valuations (variants) of the hidden values. Mutation analysis requires
 // every verdict to hold under all valuations, which keeps instructions
 // that are dead under one valuation (an untaken branch's store) from being
 // eliminated, and starves value-symmetric misinterpretations in the
-// Extractor. A sample with variants also gets the batched initializer
-// that runs all its valuations in one execution.
-func (g *generator) finish(s *discovery.Sample) {
+// Extractor. Under NoVariants the variants are drawn and then dropped, so
+// the random stream, and every later sample, stay those of a run with
+// them. finish then fills every valuation's expected stdout and renders
+// Fig. 3's initializer of base and the batched one that runs all the
+// sample's valuations in one execution.
+func (g *generator) finish(s *discovery.Sample, base discovery.Valuation) {
 	s.CSource = Harness(s.Payload)
-	s.InitSource = InitUnit(s.A0, s.B, s.C)
 	s.HelperSource = HelperUnit
-	s.ExpectedOut = fmt.Sprintf("%d\n", int32(s.Expect))
+	s.Vals = []discovery.Valuation{base}
 	g.addVariants(s)
-	if vals := s.Valuations(); len(vals) > 1 {
-		s.BatchInitSource = BatchInitUnit(vals)
-		var out strings.Builder
-		for _, v := range vals {
-			out.WriteString(v.ExpectedOut)
-		}
-		s.BatchExpectedOut = out.String()
+	if g.cfg.NoVariants {
+		s.Vals = s.Vals[:1]
+	}
+	var out strings.Builder
+	for i := range s.Vals {
+		s.Vals[i].ExpectedOut = fmt.Sprintf("%d\n", int32(s.Vals[i].Expect))
+		out.WriteString(s.Vals[i].ExpectedOut)
+	}
+	s.InitSource = InitUnit(base.A0, base.B, base.C)
+	s.BatchInitSource, s.BatchExpectedOut = s.InitSource, out.String()
+	if len(s.Vals) > 1 {
+		s.BatchInitSource = BatchInitUnit(s.Vals)
 	}
 }
 
-// addVariants synthesizes two further valuations appropriate to the
-// sample's kind.
+// addVariants appends further valuations appropriate to the sample's
+// kind: two, or three for a conditional, none for the stress sample.
 func (g *generator) addVariants(s *discovery.Sample) {
 	add := func(a0, b, c, expect int64) {
-		s.Variants = append(s.Variants, discovery.Valuation{
-			A0: a0, B: b, C: c, Expect: expect,
-			ExpectedOut: fmt.Sprintf("%d\n", int32(expect)),
-		})
+		s.Vals = append(s.Vals, discovery.Valuation{A0: a0, B: b, C: c, Expect: expect})
 	}
 	switch s.Kind {
 	case discovery.PBinary:

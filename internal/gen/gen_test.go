@@ -65,25 +65,54 @@ func TestDistinctValues(t *testing.T) {
 // TestSamplesRunOnAllTargets is the keystone integration test: every
 // generated sample must compile, assemble, link, and execute on every
 // simulated machine, producing exactly the output the Generator predicted,
-// under its base valuation and with every valuation in one image.
+// under its base valuation and with every valuation in one image. It
+// generates the quick and full sets at seeds 1–3 with and without
+// NoVariants: the two runs must draw the same samples and base valuations
+// (NoVariants drops the variants after drawing them), and a NoVariants
+// sample carries its base valuation alone, so its batched image is Fig.
+// 3's.
 func TestSamplesRunOnAllTargets(t *testing.T) {
+	type pair struct{ s, base *discovery.Sample }
+	var pairs []pair
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, full := range []bool{false, true} {
+			ss, err := Samples(Config{Rand: rand.New(rand.NewSource(seed)), Full: full})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs, err := Samples(Config{Rand: rand.New(rand.NewSource(seed)), Full: full, NoVariants: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bs) != len(ss) {
+				t.Fatalf("seed %d full=%v: %d samples under NoVariants, %d without", seed, full, len(bs), len(ss))
+			}
+			for i, s := range ss {
+				b := bs[i]
+				if b.Name != s.Name || b.Payload != s.Payload || b.K != s.K || b.Vals[0] != s.Vals[0] || b.InitSource != s.InitSource {
+					t.Errorf("seed %d full=%v sample %d: NoVariants drew %s %q K=%d %+v, want %s %q K=%d %+v",
+						seed, full, i, b.Name, b.Payload, b.K, b.Vals[0], s.Name, s.Payload, s.K, s.Vals[0])
+				}
+				if len(b.Vals) != 1 || b.BatchInitSource != b.InitSource || b.BatchExpectedOut != b.Vals[0].ExpectedOut {
+					t.Errorf("seed %d full=%v %s: NoVariants sample has %d valuations, batched image %q printing %q",
+						seed, full, b.Name, len(b.Vals), b.BatchInitSource, b.BatchExpectedOut)
+				}
+				pairs = append(pairs, pair{s, b})
+			}
+		}
+	}
 	targets := []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()}
-	ss := fullSamples(t)
 	for _, tc := range targets {
 		t.Run(tc.Name(), func(t *testing.T) {
-			for _, s := range ss {
-				out, err := target.BuildAndRun(tc, []string{s.CSource, s.InitSource, s.HelperSource})
-				if err != nil {
-					t.Errorf("%s: %v", s.Name, err)
-					continue
-				}
-				if out != s.ExpectedOut {
-					t.Errorf("%s: out = %q, want %q (payload %q, a0=%d b=%d c=%d)",
-						s.Name, out, s.ExpectedOut, s.Payload, s.A0, s.B, s.C)
-				}
-				init, want := s.Batch()
-				if out, err := target.BuildAndRun(tc, []string{s.CSource, init, s.HelperSource}); err != nil || out != want {
-					t.Errorf("%s: every valuation in one image: out = %q, %v, want %q", s.Name, out, err, want)
+			for _, p := range pairs {
+				// The NoVariants sample's batched image is the base
+				// valuation's Fig. 3 image.
+				for _, s := range []*discovery.Sample{p.base, p.s} {
+					out, err := target.BuildAndRun(tc, []string{s.CSource, s.BatchInitSource, s.HelperSource})
+					if err != nil || out != s.BatchExpectedOut {
+						t.Errorf("%s with %d valuations: out = %q, %v, want %q (payload %q, vals %+v)",
+							s.Name, len(s.Vals), out, err, s.BatchExpectedOut, s.Payload, s.Vals)
+					}
 				}
 			}
 		})
@@ -105,7 +134,7 @@ func TestVariantValuesStayDistinctive(t *testing.T) {
 			if s.Kind != discovery.PBinary || !strings.Contains(s.Shape, "K") {
 				continue
 			}
-			for i, v := range s.Valuations() {
+			for i, v := range s.Vals {
 				e := v.Expect
 				if e == 0 || e == 1 || e == -1 {
 					t.Errorf("seed %d %s valuation %d: degenerate expect %d (b=%d c=%d k=%d)",

@@ -22,7 +22,7 @@ func TestValuationsSatisfyPayload(t *testing.T) {
 				continue
 			}
 			parts := strings.Split(s.Shape, ",")
-			for vi, v := range s.Valuations() {
+			for vi, v := range s.Vals {
 				val := func(p string) int64 {
 					switch p {
 					case "a":
@@ -62,7 +62,7 @@ func TestConditionalValuationsCoverBothDirections(t *testing.T) {
 			continue
 		}
 		taken, notTaken := false, false
-		for _, v := range s.Valuations() {
+		for _, v := range s.Vals {
 			if relHolds(s.COp, v.B, v.C) {
 				taken = true
 			} else {
@@ -87,7 +87,7 @@ func TestDivisionSamplesIncludeNegativeDividend(t *testing.T) {
 			continue
 		}
 		neg := false
-		for _, v := range s.Valuations() {
+		for _, v := range s.Vals {
 			if v.B < 0 {
 				neg = true
 			}

@@ -601,7 +601,8 @@ func (e *Engine) findRepair(a *Analysis, reg string, defGroup, start int) (disco
 		mut := Insert(a.insertAtGroup(start, clob), pos, trash)
 		return clob, e.SameOutputBase(s, mut)
 	}
-	for _, v := range []int64{s.B, s.C, s.A0, s.K} {
+	base := s.Vals[0]
+	for _, v := range []int64{base.B, base.C, base.A0, s.K} {
 		if clob, ok := tryConst(v); ok {
 			return clob, false, true
 		}
@@ -629,7 +630,7 @@ func (e *Engine) findRepair(a *Analysis, reg string, defGroup, start int) (disco
 	// self-masking for redefinition scans (re-creating the final answer
 	// anywhere before the output store looks like a no-op), so it only
 	// comes into play when nothing else verifies.
-	if clob, ok := tryConst(s.Expect); ok {
+	if clob, ok := tryConst(base.Expect); ok {
 		return clob, false, true
 	}
 	return discovery.Instr{}, false, false
@@ -767,7 +768,6 @@ func (e *Engine) DetectHardwired(s *discovery.Sample) map[string]int64 {
 	if path == "" {
 		return out // a memory-to-memory machine (VAX): nothing to probe
 	}
-	_, want := s.Batch()
 	for _, cand := range e.Model.Registers {
 		if cand == path {
 			continue
@@ -776,7 +776,7 @@ func (e *Engine) DetectHardwired(s *discovery.Sample) map[string]int64 {
 		for i := range mut {
 			mut[i].RenameReg(path, cand)
 		}
-		if v, ok := hardwiredValue(s, e.lines(e.build(s, mut), want)); ok {
+		if v, ok := hardwiredValue(s, e.lines(e.build(s, mut), s.BatchExpectedOut)); ok {
 			out[cand] = v
 		}
 	}
@@ -794,7 +794,7 @@ func hardwiredValue(s *discovery.Sample, lines []string) (int64, bool) {
 		if _, err := fmt.Sscanf(l, "%d", &v); err != nil {
 			return 0, false
 		}
-		if val > 0 && v != value || v == s.Valuation(val).B {
+		if val > 0 && v != value || v == s.Vals[val].B {
 			return 0, false
 		}
 		value = v

@@ -40,8 +40,8 @@ func TestBatchedVerdictMatchesValuations(t *testing.T) {
 			mut := Delete(s.Region, i)
 			m := e.build(s, mut)
 			each, baseOK := true, false
-			for val := 0; val < s.NumValuations(); val++ {
-				ok := e.prints(m, initOf(s, val), s.Valuation(val).ExpectedOut)
+			for val, v := range s.Vals {
+				ok := e.prints(m, initOf(s, val), v.ExpectedOut)
 				if val == 0 {
 					baseOK = ok
 				}

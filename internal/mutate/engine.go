@@ -109,8 +109,7 @@ type Units map[string]*asm.Unit
 func CompileUnits(rig *discovery.Rig, samples []*discovery.Sample) Units {
 	t := Units{}
 	for _, s := range samples {
-		init, _ := s.Batch()
-		for _, src := range []string{s.InitSource, init, s.HelperSource} {
+		for _, src := range []string{s.InitSource, s.BatchInitSource, s.HelperSource} {
 			if _, ok := t[src]; ok {
 				continue
 			}
@@ -171,7 +170,7 @@ func (e *Engine) SameOutput(s *discovery.Sample, region []discovery.Instr) bool 
 // output, an exact reference, as Rig.LinkRun's want, so on a machine
 // never caught lying one run that reproduces it settles the verdict.
 func (e *Engine) SameOutputBase(s *discovery.Sample, region []discovery.Instr) bool {
-	return e.prints(e.build(s, region), s.InitSource, s.ExpectedOut)
+	return e.prints(e.build(s, region), s.InitSource, s.Vals[0].ExpectedOut)
 }
 
 // CheckBaseline fails unless the unmutated sample reproduces the
@@ -185,8 +184,7 @@ func (e *Engine) CheckBaseline(s *discovery.Sample) error {
 		return nil
 	}
 	defer e.enter(anBaseline)()
-	init, want := s.Batch()
-	if out, err := e.run(e.build(s, s.Region), init, ""); err != nil || out != want {
+	if out, err := e.run(e.build(s, s.Region), s.BatchInitSource, ""); err != nil || out != s.BatchExpectedOut {
 		return fmt.Errorf("mutate: %s: baseline region does not reproduce expected output", s.Name)
 	}
 	return nil
@@ -216,8 +214,7 @@ func (e *Engine) OutputOf(s *discovery.Sample, region []discovery.Instr) (string
 // Synthesizer's jump probe expects once its branch skips the store.
 func (e *Engine) PrintsAll(s *discovery.Sample, region []discovery.Instr, want []string) bool {
 	defer e.enter(anSynth)()
-	init, _ := s.Batch()
-	return e.prints(e.build(s, region), init, strings.Join(want, ""))
+	return e.prints(e.build(s, region), s.BatchInitSource, strings.Join(want, ""))
 }
 
 // mutant is a sample rebuilt around a replacement region and assembled
@@ -269,8 +266,7 @@ func (e *Engine) prints(m mutant, init, want string) bool {
 // sameAll reports whether m reproduces the expected output of every
 // valuation: one link and one run of the image that runs them all.
 func (e *Engine) sameAll(m mutant) bool {
-	init, want := m.s.Batch()
-	return e.prints(m, init, want)
+	return e.prints(m, m.s.BatchInitSource, m.s.BatchExpectedOut)
 }
 
 // fixedClobber is the clobber constant the liveness scan and def/read

@@ -154,7 +154,7 @@ func (j *jointBreaker) arm(e *Engine, s *discovery.Sample, ref *Analysis) {
 		region = Delete(region, k)
 	}
 	j.known = map[int64]bool{fixedClobber: true, 714253: true,
-		s.B: true, s.C: true, s.A0: true, s.K: true, s.Expect: true}
+		s.Vals[0].B: true, s.Vals[0].C: true, s.Vals[0].A0: true, s.K: true, s.Vals[0].Expect: true}
 	for _, line := range strings.Split(s.Rebuild(s.Region), "\n") {
 		if _, v, ok := j.clobber(line); ok {
 			j.known[v] = true

@@ -39,7 +39,7 @@ func (e *Engine) FindMemWriter(a *Analysis, storeSeq []discovery.Instr, lit int6
 	defer e.enter(anMemWriter)()
 	a.AWriter = -1
 	s := a.Sample
-	n := s.NumValuations()
+	n := len(s.Vals)
 	nStaging := len(discovery.Registers(storeSeq))
 	fresh := slices.DeleteFunc(e.freshRegisters(a.Region, nStaging+4), e.hardwired)
 	// printed runs the j-th constant's probe at p, once, and returns
@@ -214,7 +214,7 @@ func memWant(s *discovery.Sample, line string, guess []bool) string {
 		if g {
 			sb.WriteString(line)
 		} else {
-			sb.WriteString(s.Valuation(val).ExpectedOut)
+			sb.WriteString(s.Vals[val].ExpectedOut)
 		}
 	}
 	return sb.String()
@@ -226,9 +226,8 @@ func memWant(s *discovery.Sample, line string, guess []bool) string {
 // per valuation. FindMemWriter and DetectHardwired read their verdicts
 // off these lines.
 func (e *Engine) lines(m mutant, want string) []string {
-	init, _ := m.s.Batch()
-	out, err := e.run(m, init, want)
-	n := m.s.NumValuations()
+	out, err := e.run(m, m.s.BatchInitSource, want)
+	n := len(m.s.Vals)
 	if err != nil || strings.Count(out, "\n") != n || !strings.HasSuffix(out, "\n") {
 		return nil
 	}

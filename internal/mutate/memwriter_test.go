@@ -61,7 +61,7 @@ func memHits(e *Engine, a *Analysis, storeSeq []discovery.Instr, lit int64) (hit
 // writers, read by forwardLastWriter.
 func forwardWalk(a *Analysis, hit func(pos, val int) bool) int {
 	writer := -1
-	unresolved := make([]int, a.Sample.NumValuations())
+	unresolved := make([]int, len(a.Sample.Vals))
 	for val := range unresolved {
 		unresolved[val] = val
 	}
@@ -99,7 +99,7 @@ func forwardLastWriter(a *Analysis, pos int) int {
 // at region end misses, reading the writer with forwardLastWriter.
 func plainBackwardWalk(a *Analysis, hit func(pos, val int) bool) int {
 	var live []int
-	for val := range a.Sample.NumValuations() {
+	for val := range a.Sample.Vals {
 		if hit(len(a.Region), val) {
 			live = append(live, val)
 		}
@@ -153,13 +153,13 @@ func hardwiredPerValuation(e *Engine, s *discovery.Sample) map[string]int64 {
 		m := e.build(s, mut)
 		var value int64
 		hard := true
-		for val := 0; val < s.NumValuations() && hard; val++ {
+		for val := 0; val < len(s.Vals) && hard; val++ {
 			got, err := e.run(m, initOf(s, val), "")
 			var v int64
 			if err == nil {
 				_, err = fmt.Sscanf(got, "%d", &v)
 			}
-			hard = err == nil && (val == 0 || v == value) && v != s.Valuation(val).B
+			hard = err == nil && (val == 0 || v == value) && v != s.Vals[val].B
 			value = v
 		}
 		if hard {
@@ -232,7 +232,7 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 						}
 						// A guarded store's valuations resolve at different
 						// positions; each in turn leads the batch.
-						for r := 1; a.Sample.Kind == discovery.PCond && r < a.Sample.NumValuations(); r++ {
+						for r := 1; a.Sample.Kind == discovery.PCond && r < len(a.Sample.Vals); r++ {
 							b := *a
 							b.Sample = rotate(a.Sample, r)
 							want := memWriterPerValuation(e, &b, constA.Region, 34117)
@@ -240,8 +240,7 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 								t.Errorf("%s led by valuation %d: batched writer %d, per-valuation writer %d", n, r, b.AWriter, want)
 							}
 							lead := b
-							lead.Sample = rotate(a.Sample, r)
-							lead.Sample.Variants = nil
+							lead.Sample = baseOnly(b.Sample)
 							if memWriterPerValuation(e, &lead, constA.Region, 34117) != want {
 								reordered++
 							}
@@ -296,12 +295,12 @@ func TestGuardedStoreWriter(t *testing.T) {
 			continue
 		}
 		eq := 0
-		for _, v := range c.Valuations() {
+		for _, v := range c.Vals {
 			if v.B == v.C {
 				eq++
 			}
 		}
-		if eq > 0 && eq < c.NumValuations() {
+		if eq > 0 && eq < len(c.Vals) {
 			s = c
 		}
 	}
@@ -344,15 +343,12 @@ func TestGuardedStoreWriter(t *testing.T) {
 
 // rotate returns a copy of s whose valuations start at valuation r.
 func rotate(s *discovery.Sample, r int) *discovery.Sample {
-	vals := s.Valuations()
-	vals = append(vals[r:], vals[:r]...)
 	c := *s
-	v := vals[0]
-	c.A0, c.B, c.C, c.Expect, c.InitSource, c.ExpectedOut = v.A0, v.B, v.C, v.Expect, initOf(s, r), v.ExpectedOut
-	c.Variants = vals[1:]
-	c.BatchInitSource = gen.BatchInitUnit(vals)
+	c.Vals = slices.Concat(s.Vals[r:], s.Vals[:r])
+	c.InitSource = initOf(s, r)
+	c.BatchInitSource = gen.BatchInitUnit(c.Vals)
 	c.BatchExpectedOut = ""
-	for _, v := range vals {
+	for _, v := range c.Vals {
 		c.BatchExpectedOut += v.ExpectedOut
 	}
 	return &c
@@ -395,7 +391,7 @@ func TestMemWriterWantsAreComputed(t *testing.T) {
 					shifted++
 					computed = false
 				default:
-					computed = computed && val < a.Sample.NumValuations() && l == a.Sample.Valuation(val).ExpectedOut
+					computed = computed && val < len(a.Sample.Vals) && l == a.Sample.Vals[val].ExpectedOut
 				}
 			}
 			if m.runs[img] == 1 {
@@ -414,7 +410,7 @@ func TestMemWriterWantsAreComputed(t *testing.T) {
 // TestHardwiredValue pins DetectHardwired's rule on the lines a renamed
 // move sample prints: one number on every line, never the moved value b.
 func TestHardwiredValue(t *testing.T) {
-	s := &discovery.Sample{B: 7, Variants: []discovery.Valuation{{B: 8}, {B: 9}}}
+	s := &discovery.Sample{Vals: []discovery.Valuation{{B: 7}, {B: 8}, {B: 9}}}
 	for _, c := range []struct {
 		lines []string
 		value int64

@@ -67,8 +67,17 @@ func learnFacts(e *Engine, samples map[string]*discovery.Sample) {
 // initOf renders Fig. 3's one-valuation initializer for valuation val of
 // s, the per-valuation reference the batched checks are compared against.
 func initOf(s *discovery.Sample, val int) string {
-	v := s.Valuation(val)
+	v := s.Vals[val]
 	return gen.InitUnit(v.A0, v.B, v.C)
+}
+
+// baseOnly returns a copy of s that carries its base valuation alone, as
+// the Generator makes it under NoVariants.
+func baseOnly(s *discovery.Sample) *discovery.Sample {
+	c := *s
+	c.Vals = s.Vals[:1]
+	c.BatchInitSource, c.BatchExpectedOut = c.InitSource, c.Vals[0].ExpectedOut
+	return &c
 }
 
 func analyze(t *testing.T, e *Engine, s *discovery.Sample) *Analysis {
@@ -100,7 +109,7 @@ func TestBaselineRunsFullQuorum(t *testing.T) {
 				s.Name, runs, after.ExpectAccepts-before.ExpectAccepts)
 		}
 		if n := e.Rig.Stats().Links - links; n != 1 {
-			t.Errorf("%s baseline linked %d images; want one for its %d valuations", s.Name, n, s.NumValuations())
+			t.Errorf("%s baseline linked %d images; want one for its %d valuations", s.Name, n, len(s.Vals))
 		}
 	}
 	checkQuorum(s)
@@ -141,7 +150,7 @@ func TestOneAssemblyPerMutant(t *testing.T) {
 	tc := &textCounter{Toolchain: x86.New(), texts: map[string]int{}}
 	e, samples := setup(t, tc)
 	s := samples["int.add.b_c"]
-	v := s.NumValuations()
+	v := len(s.Vals)
 	if v < 2 {
 		t.Fatalf("%s has %d valuations; the test needs several", s.Name, v)
 	}
@@ -510,10 +519,9 @@ func TestVariantsPreventDeadCodeElimination(t *testing.T) {
 	e, samples := setup(t, x86.New())
 	s := samples["int.cond.lt.lt"]
 
-	stripped := *s
-	stripped.Variants = nil
+	stripped := baseOnly(s)
 	stripped.Name = s.Name + ".novariants"
-	aStripped, err := e.Analyze(&stripped)
+	aStripped, err := e.Analyze(stripped)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,7 +351,7 @@ func (in Input) jumpTemplate() (*Template, error) {
 	// the program prints the output cell's initial value: an exact
 	// reference.
 	var want []string
-	for _, v := range s.Valuations() {
+	for _, v := range s.Vals {
 		want = append(want, fmt.Sprintf("%d\n", int32(v.A0)))
 	}
 	for _, c := range cands {
