@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"srcg/internal/core"
+	"srcg/internal/gen"
 )
 
 // recordPath is the file whose per-experiment record pins the suite's
@@ -102,5 +107,92 @@ func TestRecordMatchesSuite(t *testing.T) {
 	}
 	if !slices.Equal(recIDs, ids) {
 		t.Errorf("%s records %v; the suite runs %v", recordPath, recIDs, ids)
+	}
+	checkCostRow(t, md, got["E15"])
+	checkDivergenceNotes(t, md)
+}
+
+// kRange renders the least and greatest of vs rounded to 0.1k, as the
+// summary table quotes them: "0.5k–1.3k".
+func kRange(vs []int) string {
+	k := func(v int) string {
+		tenths := (v + 50) / 100
+		return fmt.Sprintf("%d.%dk", tenths/10, tenths%10)
+	}
+	return k(slices.Min(vs)) + "–" + k(slices.Max(vs))
+}
+
+// checkCostRow holds the summary table's "Complete analysis takes hours"
+// row to the E15 block: its executions, physical runs and assembles
+// ranges over the five targets.
+func checkCostRow(t *testing.T, md, e15 string) {
+	t.Helper()
+	_, row, ok := strings.Cut(md, "\n| Complete analysis takes hours")
+	row, _, _ = strings.Cut(row, "\n")
+	lines := strings.Split(strings.TrimSpace(e15), "\n")
+	if !ok || len(lines) < 3 {
+		t.Fatalf("%s has no cost row, or E15 no table", recordPath)
+	}
+	col := map[string][]int{}
+	header := strings.Fields(lines[1])
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) != len(header) {
+			break // the table ends at the first blank line
+		}
+		for i, name := range header[1:] {
+			v, err := strconv.Atoi(f[i+1])
+			if err != nil {
+				t.Fatalf("E15 %s %s: %v", f[0], name, err)
+			}
+			col[name] = append(col[name], v)
+		}
+	}
+	for _, want := range []string{
+		kRange(col["executions"]) + " executions",
+		"paid with " + kRange(col["runs"]) + " physical runs",
+		kRange(col["assembles"]) + " assembles",
+	} {
+		if !strings.Contains(row, want) {
+			t.Errorf("%s's cost row does not quote E15's %q", recordPath, want)
+		}
+	}
+}
+
+// checkDivergenceNotes holds the "Notes on divergences" to the full
+// shape set: its sample count, and the VAX's failed samples at Seed,
+// named as "`int.shr.b_c`, `b_K`, ...".
+func checkDivergenceNotes(t *testing.T, md string) {
+	t.Helper()
+	full, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(Seed)), Full: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("Under `Full: true` (%d samples", len(full)); !strings.Contains(md, want) {
+		t.Errorf("%s's divergence notes do not read %q", recordPath, want)
+	}
+	d, err := core.Discover(newTarget("vax"), core.Options{Seed: Seed, Full: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := d.Outcome.Failed
+	words := []string{"no", "one", "two", "three", "four", "five", "six", "seven", "eight"}
+	if len(failed) == 0 || len(failed) >= len(words) {
+		t.Fatalf("the VAX fails %v under Full; the notes name one to eight failures", failed)
+	}
+	names := make([]string, len(failed))
+	for i, n := range failed {
+		names[i] = "`" + n + "`"
+		if i > 0 {
+			names[i] = "`" + strings.TrimPrefix(n, "int.shr.") + "`"
+		}
+	}
+	for _, want := range []string{
+		"the VAX fails exactly the " + words[len(failed)] + " `ashl`-based",
+		"(" + strings.Join(names, ", ") + " at seed " + strconv.Itoa(Seed) + ")",
+	} {
+		if !strings.Contains(strings.Join(strings.Fields(md), " "), want) {
+			t.Errorf("%s's divergence notes do not read %q (the VAX fails %v under Full at seed %d)", recordPath, want, failed, Seed)
+		}
 	}
 }
