@@ -28,8 +28,8 @@ func toolchains() []target.Toolchain {
 }
 
 // linkCorpus compiles and assembles every quick-set sample (seed 1) with
-// its initializer and helper units: the [main, init, helpers] unit
-// triples discovery links.
+// Fig. 3's initializer of its base valuation and its helper units: the
+// [main, init, helpers] unit triples of one-valuation images.
 func linkCorpus(tb testing.TB, tc target.Toolchain) [][]*asm.Unit {
 	tb.Helper()
 	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(1))})
@@ -39,7 +39,7 @@ func linkCorpus(tb testing.TB, tc target.Toolchain) [][]*asm.Unit {
 	out := make([][]*asm.Unit, 0, len(samples))
 	for _, s := range samples {
 		var units []*asm.Unit
-		for _, src := range []string{s.CSource, s.InitSource, s.HelperSource} {
+		for _, src := range []string{s.CSource, gen.InitUnit(s.Vals[:1]), s.HelperSource} {
 			text, err := tc.CompileC(src)
 			if err != nil {
 				tb.Fatalf("%s: %s: compile: %v", tc.Name(), s.Name, err)
@@ -198,7 +198,7 @@ func BenchmarkAssemble(b *testing.B) {
 	var texts []text
 	for _, tc := range toolchains() {
 		for _, s := range samples {
-			for _, src := range []string{s.CSource, s.InitSource, s.HelperSource} {
+			for _, src := range []string{s.CSource, gen.InitUnit(s.Vals[:1]), s.HelperSource} {
 				t, err := tc.CompileC(src)
 				if err != nil {
 					b.Fatalf("%s: %s: compile: %v", tc.Name(), s.Name, err)

@@ -136,15 +136,16 @@ const (
 
 // Sample is one generated C program together with everything the pipeline
 // learns about it. CSource/InitSource are the two translation units of the
-// Fig. 3 harness and HelperSource the procedures call samples call, linked
-// beside them.
+// Fig. 3 harness, InitSource handing out every valuation in turn (see
+// Vals), and HelperSource the procedures call samples call, linked beside
+// them.
 type Sample struct {
 	Name         string
 	Kind         PayloadKind
 	COp          string // C operator for PBinary/PUnary ("+", "-", ...); relation for PCond
 	Payload      string // the C statement(s) between Begin and End
 	CSource      string
-	InitSource   string // Fig. 3's initializer: the base valuation, Vals[0]
+	InitSource   string
 	HelperSource string
 
 	// Operand shape metadata ("b,c", "a,K", "K,b", ...) and the literal
@@ -159,12 +160,10 @@ type Sample struct {
 	// instructions from being "redundant", and they break value-symmetric
 	// misinterpretations in the Extractor.
 	Vals []Valuation
-	// BatchInitSource replaces InitSource to run every valuation, in
-	// order, in one execution, which prints BatchExpectedOut: each
-	// valuation's expected output in turn. For a one-valuation sample
-	// they are InitSource and Vals[0].ExpectedOut.
-	BatchInitSource  string
-	BatchExpectedOut string
+	// ExpectedOut is what one execution under InitSource prints: each
+	// valuation's expected output in turn. A one-valuation sample's
+	// InitSource is Fig. 3's Init and its ExpectedOut Vals[0]'s.
+	ExpectedOut string
 
 	// Filled by the Lexer.
 	FullAsm             string

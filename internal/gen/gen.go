@@ -43,7 +43,8 @@ type Config struct {
 // with one addition: after printf, main loops back to Init while the
 // initializer reports that valuations remain (more). Under a
 // one-valuation initializer more stays 0 and the program is Fig. 3's;
-// under BatchInitUnit one execution runs the payload once per valuation.
+// under one of two or more valuations (InitUnit) one execution runs the
+// payload once per valuation.
 // The loop sits outside Begin..End and main still ends in exit, so the
 // compiled region is the same text either way.
 func Harness(payload string) string {
@@ -68,44 +69,27 @@ End:
 }`
 }
 
-// InitUnit renders Fig. 3's separately compiled initializer that hides
-// the values a0, b, c from the compiler. It defines more and leaves it 0,
-// so the harness runs the payload once.
-func InitUnit(a0, b, c int64) string {
-	return fmt.Sprintf(`int z1,z2,z3,z4,z5,z6,more;
-void Init(n,o,p)
-int *n,*o,*p;
-{
-%s}`, initBody("\t", a0, b, c))
-}
-
-// initBody is the statement list of Fig. 3's Init, each statement
-// prefixed by indent. The batched initializer repeats it as the last
-// statements of each branch, so Init returns with the registers it leaves
-// behind as they are under the one-valuation unit.
-func initBody(indent string, a0, b, c int64) string {
-	return fmt.Sprintf(`%[1]sz1=z2=z3=1;
-%[1]sz4=z5=z6=1;
-%[1]s*n = %[2]d;
-%[1]s*o = %[3]d;
-%[1]s*p = %[4]d;
-`, indent, a0, b, c)
-}
-
-// BatchInitUnit renders an initializer that hands out one of two or more
-// valuations per call, in order, and keeps more set while valuations
-// remain: the harness then prints every valuation's output, in turn, in
-// one execution. An if / else if chain picks the first valuation whose
-// flag (donek) is still 0 and sets it. Each test compares a flag with 0,
-// which every target compiles without a register the branch's body does
-// not overwrite.
-func BatchInitUnit(vals []discovery.Valuation) string {
+// InitUnit renders the separately compiled initializer that hides the
+// valuations' values a0, b, c from the compiler. With one valuation it is
+// Fig. 3's Init: it defines more and leaves it 0, so the harness runs the
+// payload once. With two or more it hands out one valuation per call, in
+// order, and keeps more set while valuations remain: the harness then
+// prints every valuation's output, in turn, in one execution. An if /
+// else if chain picks the first valuation whose flag (donek) is still 0
+// and sets it. Each test compares a flag with 0, which every target
+// compiles without a register the branch's body does not overwrite.
+func InitUnit(vals []discovery.Valuation) string {
 	var sb strings.Builder
 	sb.WriteString("int z1,z2,z3,z4,z5,z6,more")
 	for k := range vals[1:] {
 		fmt.Fprintf(&sb, ",done%d", k)
 	}
 	sb.WriteString(";\nvoid Init(n,o,p)\nint *n,*o,*p;\n{\n")
+	if len(vals) == 1 {
+		sb.WriteString(initBody("\t", vals[0]))
+		sb.WriteString("}")
+		return sb.String()
+	}
 	for k, v := range vals {
 		switch k {
 		case 0:
@@ -115,10 +99,23 @@ func BatchInitUnit(vals []discovery.Valuation) string {
 		default:
 			fmt.Fprintf(&sb, "\t} else if (done%d == 0) {\n\t\tdone%[1]d = 1;\n", k)
 		}
-		sb.WriteString(initBody("\t\t", v.A0, v.B, v.C))
+		sb.WriteString(initBody("\t\t", v))
 	}
 	sb.WriteString("\t}\n}")
 	return sb.String()
+}
+
+// initBody is the statement list of Fig. 3's Init under valuation v, each
+// statement prefixed by indent. The batched initializer repeats it as the
+// last statements of each branch, so Init returns with the registers it
+// leaves behind as they are under the one-valuation unit.
+func initBody(indent string, v discovery.Valuation) string {
+	return fmt.Sprintf(`%[1]sz1=z2=z3=1;
+%[1]sz4=z5=z6=1;
+%[1]s*n = %[2]d;
+%[1]s*o = %[3]d;
+%[1]s*p = %[4]d;
+`, indent, v.A0, v.B, v.C)
 }
 
 // HelperUnit is the translation unit of the procedures the call samples
@@ -521,8 +518,8 @@ func (g *generator) stress() *discovery.Sample {
 // Extractor. Under NoVariants the variants are drawn and then dropped, so
 // the random stream, and every later sample, stay those of a run with
 // them. finish then fills every valuation's expected stdout and renders
-// Fig. 3's initializer of base and the batched one that runs all the
-// sample's valuations in one execution.
+// the sample's one initializer, which runs all its valuations in one
+// execution.
 func (g *generator) finish(s *discovery.Sample, base discovery.Valuation) {
 	s.CSource = Harness(s.Payload)
 	s.HelperSource = HelperUnit
@@ -536,11 +533,7 @@ func (g *generator) finish(s *discovery.Sample, base discovery.Valuation) {
 		s.Vals[i].ExpectedOut = fmt.Sprintf("%d\n", int32(s.Vals[i].Expect))
 		out.WriteString(s.Vals[i].ExpectedOut)
 	}
-	s.InitSource = InitUnit(base.A0, base.B, base.C)
-	s.BatchInitSource, s.BatchExpectedOut = s.InitSource, out.String()
-	if len(s.Vals) > 1 {
-		s.BatchInitSource = BatchInitUnit(s.Vals)
-	}
+	s.InitSource, s.ExpectedOut = InitUnit(s.Vals), out.String()
 }
 
 // addVariants appends further valuations appropriate to the sample's

@@ -46,8 +46,7 @@ func TestDeterminism(t *testing.T) {
 	a, _ := Samples(Config{Rand: rand.New(rand.NewSource(7)), Full: true})
 	b, _ := Samples(Config{Rand: rand.New(rand.NewSource(7)), Full: true})
 	for i := range a {
-		if a[i].CSource != b[i].CSource || a[i].InitSource != b[i].InitSource ||
-			a[i].BatchInitSource != b[i].BatchInitSource {
+		if a[i].CSource != b[i].CSource || a[i].InitSource != b[i].InitSource {
 			t.Fatalf("sample %d differs between identical seeds", i)
 		}
 	}
@@ -69,8 +68,7 @@ func TestDistinctValues(t *testing.T) {
 // generates the quick and full sets at seeds 1–3 with and without
 // NoVariants: the two runs must draw the same samples and base valuations
 // (NoVariants drops the variants after drawing them), and a NoVariants
-// sample carries its base valuation alone, so its batched image is Fig.
-// 3's.
+// sample carries its base valuation alone, so its image is Fig. 3's.
 func TestSamplesRunOnAllTargets(t *testing.T) {
 	type pair struct{ s, base *discovery.Sample }
 	var pairs []pair
@@ -89,13 +87,13 @@ func TestSamplesRunOnAllTargets(t *testing.T) {
 			}
 			for i, s := range ss {
 				b := bs[i]
-				if b.Name != s.Name || b.Payload != s.Payload || b.K != s.K || b.Vals[0] != s.Vals[0] || b.InitSource != s.InitSource {
+				if b.Name != s.Name || b.Payload != s.Payload || b.K != s.K || b.Vals[0] != s.Vals[0] || b.InitSource != InitUnit(s.Vals[:1]) {
 					t.Errorf("seed %d full=%v sample %d: NoVariants drew %s %q K=%d %+v, want %s %q K=%d %+v",
 						seed, full, i, b.Name, b.Payload, b.K, b.Vals[0], s.Name, s.Payload, s.K, s.Vals[0])
 				}
-				if len(b.Vals) != 1 || b.BatchInitSource != b.InitSource || b.BatchExpectedOut != b.Vals[0].ExpectedOut {
-					t.Errorf("seed %d full=%v %s: NoVariants sample has %d valuations, batched image %q printing %q",
-						seed, full, b.Name, len(b.Vals), b.BatchInitSource, b.BatchExpectedOut)
+				if len(b.Vals) != 1 || b.ExpectedOut != b.Vals[0].ExpectedOut {
+					t.Errorf("seed %d full=%v %s: NoVariants sample has %d valuations, printing %q",
+						seed, full, b.Name, len(b.Vals), b.ExpectedOut)
 				}
 				pairs = append(pairs, pair{s, b})
 			}
@@ -105,13 +103,13 @@ func TestSamplesRunOnAllTargets(t *testing.T) {
 	for _, tc := range targets {
 		t.Run(tc.Name(), func(t *testing.T) {
 			for _, p := range pairs {
-				// The NoVariants sample's batched image is the base
-				// valuation's Fig. 3 image.
+				// The NoVariants sample's image is the base valuation's
+				// Fig. 3 image.
 				for _, s := range []*discovery.Sample{p.base, p.s} {
-					out, err := target.BuildAndRun(tc, []string{s.CSource, s.BatchInitSource, s.HelperSource})
-					if err != nil || out != s.BatchExpectedOut {
+					out, err := target.BuildAndRun(tc, []string{s.CSource, s.InitSource, s.HelperSource})
+					if err != nil || out != s.ExpectedOut {
 						t.Errorf("%s with %d valuations: out = %q, %v, want %q (payload %q, vals %+v)",
-							s.Name, len(s.Vals), out, err, s.BatchExpectedOut, s.Payload, s.Vals)
+							s.Name, len(s.Vals), out, err, s.ExpectedOut, s.Payload, s.Vals)
 					}
 				}
 			}

@@ -44,11 +44,13 @@ func Bootstrap(rig *discovery.Rig, samples []*discovery.Sample) (*discovery.Mode
 	}
 	// The initializer and helper units are compiler output too — scan them
 	// as well (they are where callee-side conventions like the VAX argument
-	// pointer show up).
-	for _, src := range []string{samples[0].InitSource, samples[0].HelperSource} {
-		if text, err := rig.CompileAsm(src); err == nil {
-			texts = append(texts, text)
-		}
+	// pointer show up). The clobber validation links the initializer.
+	initText, initErr := rig.CompileAsm(samples[0].InitSource)
+	if initErr == nil {
+		texts = append(texts, initText)
+	}
+	if text, err := rig.CompileAsm(samples[0].HelperSource); err == nil {
+		texts = append(texts, text)
 	}
 
 	if err := DiscoverRegisters(rig, m, texts); err != nil {
@@ -57,7 +59,10 @@ func Bootstrap(rig *discovery.Rig, samples []*discovery.Sample) (*discovery.Mode
 	for _, s := range samples {
 		Classify(m, s)
 	}
-	if err := DiscoverClobber(rig, m, samples); err != nil {
+	if initErr != nil {
+		return nil, fmt.Errorf("lexer: init unit: %v", initErr)
+	}
+	if err := DiscoverClobber(rig, m, samples, initText); err != nil {
 		return nil, err
 	}
 	// Immediate-range discovery is the assembler-bisection workload —

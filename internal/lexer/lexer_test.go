@@ -173,8 +173,8 @@ func TestExtractionRebuildRoundTrips(t *testing.T) {
 					t.Errorf("%s: rebuilt program failed: %v", s.Name, err)
 					continue
 				}
-				if out != s.Vals[0].ExpectedOut {
-					t.Errorf("%s: rebuilt output %q, want %q", s.Name, out, s.Vals[0].ExpectedOut)
+				if out != s.ExpectedOut {
+					t.Errorf("%s: rebuilt output %q, want %q", s.Name, out, s.ExpectedOut)
 				}
 			}
 		})

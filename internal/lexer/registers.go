@@ -206,8 +206,9 @@ func containsStr(xs []string, x string) bool {
 // probed with (literal, register) and (register, literal) operand orders;
 // a candidate is validated *semantically* by inserting it into a sample
 // region ahead of a register's final use and checking that the program
-// then prints the clobber constant.
-func DiscoverClobber(rig *discovery.Rig, m *discovery.Model, samples []*discovery.Sample) error {
+// then prints the clobber constant. initText is the compiled initializer
+// of samples[0], which every validation probe links.
+func DiscoverClobber(rig *discovery.Rig, m *discovery.Model, samples []*discovery.Sample, initText string) error {
 	type cand struct {
 		op       string
 		litFirst bool
@@ -252,17 +253,13 @@ func DiscoverClobber(rig *discovery.Rig, m *discovery.Model, samples []*discover
 	}
 	// Semantic validation: inserting CLOB(K, R) before an instruction and
 	// seeing K in the output proves the template sets R to K.
-	initText, err := rig.CompileAsm(base.InitSource)
-	if err != nil {
-		return fmt.Errorf("lexer: init unit: %v", err)
-	}
 	initUnit, err := rig.Assemble(initText)
 	if err != nil {
 		return fmt.Errorf("lexer: init unit: %v", err)
 	}
 	for _, c := range accepted {
 		c := c
-		if validateClobber(rig, m, samples, initUnit, func(reg string, k int64) string { return render(c, reg, k) }) {
+		if validateClobber(rig, m, samples, len(base.Vals), initUnit, func(reg string, k int64) string { return render(c, reg, k) }) {
 			m.Clobber = func(reg string, k int64) string { return render(c, reg, k) }
 			m.ClobberText = strings.TrimSpace(strings.Replace(render(c, "<r>", 0), lit(0), "<k>", 1))
 			return nil
@@ -293,8 +290,12 @@ func insertLine(s *discovery.Sample, i int, line string) string {
 	return sb.String()
 }
 
-func validateClobber(rig *discovery.Rig, m *discovery.Model, samples []*discovery.Sample, initUnit *asm.Unit, render func(string, int64) string) bool {
+// validateClobber links every probe with initUnit, which runs the
+// payload once for each of its vals valuations, so a template that sets
+// the output register prints its constant once per valuation.
+func validateClobber(rig *discovery.Rig, m *discovery.Model, samples []*discovery.Sample, vals int, initUnit *asm.Unit, render func(string, int64) string) bool {
 	const k1, k2 = 29173, -12345
+	printed := func(k int64) string { return strings.Repeat(fmt.Sprintf("%d\n", int32(k)), vals) }
 	for _, s := range samples {
 		if s.Kind != discovery.PUnary && s.Kind != discovery.PBinary {
 			continue
@@ -305,11 +306,11 @@ func validateClobber(rig *discovery.Rig, m *discovery.Model, samples []*discover
 		for _, reg := range regs {
 			for i := 1; i <= len(s.Region); i++ {
 				out1, err1 := assembleRun(rig, insertLine(s, i, render(reg, k1)), initUnit)
-				if err1 != nil || out1 != fmt.Sprintf("%d\n", int32(k1)) {
+				if err1 != nil || out1 != printed(k1) {
 					continue
 				}
 				out2, err2 := assembleRun(rig, insertLine(s, i, render(reg, k2)), initUnit)
-				if err2 != nil || out2 != fmt.Sprintf("%d\n", int32(k2)) {
+				if err2 != nil || out2 != printed(k2) {
 					continue
 				}
 				// Idempotence: a template that *sets* R prints k2 no
@@ -318,7 +319,7 @@ func validateClobber(rig *discovery.Rig, m *discovery.Model, samples []*discover
 				// 2·k2 and is useless as a repair instruction later.
 				line := render(reg, k2)
 				out3, err3 := assembleRun(rig, insertLine(s, i, line+"\n"+line), initUnit)
-				if err3 == nil && out3 == fmt.Sprintf("%d\n", int32(k2)) {
+				if err3 == nil && out3 == printed(k2) {
 					return true
 				}
 			}

@@ -504,36 +504,20 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 		}
 		// Resolve middle groups start..end-1 (readers) and redefinitions.
 		// Both probes need a *repair*: an instruction that re-establishes
-		// the defined value at a later point. Two strategies:
-		//   1. a clobber with the value itself — the Generator knows its
-		//      hidden initialization values, so it tries them;
-		//   2. a copy of the defining instruction, valid only when its
-		//      sources cannot have changed (no register operands besides
-		//      reg itself).
+		// the defined value at a later point, the copy of the defining
+		// instruction (findRepair).
 		if defGroup < 0 || end == start {
 			continue
 		}
-		repair, allVals, ok := e.findRepair(a, reg, defGroup, start)
+		repair, ok := e.findRepair(a, reg, defGroup, start)
 		if !ok {
 			continue
-		}
-		// A def-copy repair is valuation-independent, so its probes may
-		// check every valuation — this catches redefinitions whose effect
-		// coincides with the expected output under the base valuation
-		// alone (x86 idivl's %edx when the remainder happens to equal
-		// cltd's sign extension). Constant-clobber repairs carry a
-		// base-valuation constant and stay on the base valuation.
-		same := func(mut []discovery.Instr) bool {
-			if allVals {
-				return e.SameOutput(s, mut)
-			}
-			return e.SameOutputBase(s, mut)
 		}
 		redefAt := -1
 		for g := start; g < end && end < n; g++ {
 			// Repair probe: re-establish reg's defined value after group
 			// g; breakage means someone replaced the value in between.
-			if !same(a.insertAtGroup(g+1, repair)) {
+			if !e.SameOutput(s, a.insertAtGroup(g+1, repair)) {
 				redefAt = g
 				break
 			}
@@ -564,7 +548,7 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 				if g+1 < len(a.Groups) {
 					pos = a.Groups[g+1][0] + 1
 				}
-				if !same(Insert(withClobber, pos, repair)) {
+				if !e.SameOutput(s, Insert(withClobber, pos, repair)) {
 					markRead(g)
 					break
 				}
@@ -573,67 +557,32 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 	}
 }
 
-// findRepair builds an instruction that re-establishes reg's value as
-// defined by defGroup, verified by inserting it immediately after the
-// definition (position start) and observing unchanged behavior.
-// The second result reports whether the repair is valuation-independent
-// (a copy of the defining instruction) as opposed to a constant drawn from
-// the base valuation.
-func (e *Engine) findRepair(a *Analysis, reg string, defGroup, start int) (discovery.Instr, bool, bool) {
-	s := a.Sample
-	// Strategy 1: the value is one of the sample's hidden constants. The
-	// candidate must survive with reg pre-trashed — that proves the
-	// template establishes the value regardless of the register's prior
-	// contents (an accumulating clobber template would only pass when the
-	// insertion happens to be a no-op, e.g. add $0).
-	pos := len(a.Region)
-	if start < len(a.Groups) {
-		pos = a.Groups[start][0]
+// findRepair returns the copy of the instruction that defines reg in
+// defGroup, verified by inserting it immediately after the definition
+// (boundary start) and observing every valuation's output unchanged. The
+// copy sets the value only when its sources cannot have changed, so
+// defGroup must be one instruction, outside a delay slot, whose register
+// operands are reg alone; memory bases like the frame pointer do not
+// change inside a region. The copy needs no pre-trash of reg to prove it
+// sets the value rather than accumulate onto it: the liveness scan found
+// reg dead before defGroup, so the definition itself sets the value
+// whatever reg held. A copy is valid under every valuation, so its
+// probes check them all, which catches redefinitions whose effect
+// coincides with one valuation's expected output (x86 idivl's %edx when
+// the remainder happens to equal cltd's sign extension).
+func (e *Engine) findRepair(a *Analysis, reg string, defGroup, start int) (discovery.Instr, bool) {
+	span := a.Groups[defGroup]
+	if span[1]-span[0] != 1 || a.Slotted[span[0]] {
+		return discovery.Instr{}, false
 	}
-	trash := e.ClobberInstr(reg, 714253)
-	tried := map[int64]bool{}
-	tryConst := func(v int64) (discovery.Instr, bool) {
-		if tried[v] {
+	def := discovery.CloneInstrs(a.Region[span[0]:span[1]])[0]
+	def.Labels = nil
+	for _, arg := range def.Args {
+		if arg.Kind == discovery.KReg && arg.Regs[0] != reg {
 			return discovery.Instr{}, false
 		}
-		tried[v] = true
-		clob := e.ClobberInstr(reg, v)
-		mut := Insert(a.insertAtGroup(start, clob), pos, trash)
-		return clob, e.SameOutputBase(s, mut)
 	}
-	base := s.Vals[0]
-	for _, v := range []int64{base.B, base.C, base.A0, s.K} {
-		if clob, ok := tryConst(v); ok {
-			return clob, false, true
-		}
-	}
-	// Strategy 2: re-run the defining instruction, if its sources are
-	// stable (no register operands other than reg; memory bases like the
-	// frame pointer do not change inside a region). Preferred over an
-	// Expect-valued constant because a copy is valid under every
-	// valuation.
-	span := a.Groups[defGroup]
-	if span[1]-span[0] == 1 && !a.Slotted[span[0]] {
-		def := discovery.CloneInstrs(a.Region[span[0]:span[1]])[0]
-		def.Labels = nil
-		stable := true
-		for _, arg := range def.Args {
-			if arg.Kind == discovery.KReg && arg.Regs[0] != reg {
-				stable = false
-			}
-		}
-		if stable && e.SameOutput(s, a.insertAtGroup(start, def)) {
-			return def, true, true
-		}
-	}
-	// Last resort: the expected output itself. Such a repair is
-	// self-masking for redefinition scans (re-creating the final answer
-	// anywhere before the output store looks like a no-op), so it only
-	// comes into play when nothing else verifies.
-	if clob, ok := tryConst(base.Expect); ok {
-		return clob, false, true
-	}
-	return discovery.Instr{}, false, false
+	return def, e.SameOutput(a.Sample, a.insertAtGroup(start, def))
 }
 
 func appendUnique(xs []int, x int) []int {
@@ -776,7 +725,7 @@ func (e *Engine) DetectHardwired(s *discovery.Sample) map[string]int64 {
 		for i := range mut {
 			mut[i].RenameReg(path, cand)
 		}
-		if v, ok := hardwiredValue(s, e.lines(e.build(s, mut), s.BatchExpectedOut)); ok {
+		if v, ok := hardwiredValue(s, e.lines(e.build(s, mut), s.ExpectedOut)); ok {
 			out[cand] = v
 		}
 	}

@@ -25,13 +25,12 @@ import (
 // more of one register with ±fixedClobber, or clobbers of two or more
 // registers ahead of an otherwise unmutated region. The known values are
 // those a singleton probe or the region itself carries: the fixed clobber,
-// findRepair's trash value and hidden constants, the sample's own text,
-// and its delay-slot fillers once the normalized region has been
-// assembled. Before that, a filler's value is one of the delay analysis's
-// joint filler values. Only a group test's clobbers are unknown twice, and
-// only the scan's text-predicted group repeats the fixed clobber:
-// attribution pairs it with a repair constant, never a second fixed one.
-// Only the safe set's group test clobbers two or more registers ahead of
+// the sample's own text, and its delay-slot fillers once the normalized
+// region has been assembled. Before that, a filler's value is one of the
+// delay analysis's joint filler values. Only a group test's clobbers are
+// unknown twice, and only the scan's text-predicted group repeats the
+// fixed clobber: attribution pairs it with a copy of the definition, never
+// a second fixed one. Only the safe set's group test clobbers two or more registers ahead of
 // a region it leaves otherwise intact: the region before elimination, or
 // after a removal. A deletion mutant clobbers the safe set too, and the
 // one that succeeds renders exactly the region after its removal, so
@@ -153,8 +152,7 @@ func (j *jointBreaker) arm(e *Engine, s *discovery.Sample, ref *Analysis) {
 		}
 		region = Delete(region, k)
 	}
-	j.known = map[int64]bool{fixedClobber: true, 714253: true,
-		s.Vals[0].B: true, s.Vals[0].C: true, s.Vals[0].A0: true, s.K: true, s.Vals[0].Expect: true}
+	j.known = map[int64]bool{fixedClobber: true}
 	for _, line := range strings.Split(s.Rebuild(s.Region), "\n") {
 		if _, v, ok := j.clobber(line); ok {
 			j.known[v] = true

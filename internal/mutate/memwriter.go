@@ -226,7 +226,7 @@ func memWant(s *discovery.Sample, line string, guess []bool) string {
 // per valuation. FindMemWriter and DetectHardwired read their verdicts
 // off these lines.
 func (e *Engine) lines(m mutant, want string) []string {
-	out, err := e.run(m, m.s.BatchInitSource, want)
+	out, err := e.run(m, m.s.InitSource, want)
 	n := len(m.s.Vals)
 	if err != nil || strings.Count(out, "\n") != n || !strings.HasSuffix(out, "\n") {
 		return nil

@@ -345,11 +345,10 @@ func TestGuardedStoreWriter(t *testing.T) {
 func rotate(s *discovery.Sample, r int) *discovery.Sample {
 	c := *s
 	c.Vals = slices.Concat(s.Vals[r:], s.Vals[:r])
-	c.InitSource = initOf(s, r)
-	c.BatchInitSource = gen.BatchInitUnit(c.Vals)
-	c.BatchExpectedOut = ""
+	c.InitSource = gen.InitUnit(c.Vals)
+	c.ExpectedOut = ""
 	for _, v := range c.Vals {
-		c.BatchExpectedOut += v.ExpectedOut
+		c.ExpectedOut += v.ExpectedOut
 	}
 	return &c
 }

@@ -67,8 +67,7 @@ func learnFacts(e *Engine, samples map[string]*discovery.Sample) {
 // initOf renders Fig. 3's one-valuation initializer for valuation val of
 // s, the per-valuation reference the batched checks are compared against.
 func initOf(s *discovery.Sample, val int) string {
-	v := s.Vals[val]
-	return gen.InitUnit(v.A0, v.B, v.C)
+	return gen.InitUnit(s.Vals[val : val+1])
 }
 
 // baseOnly returns a copy of s that carries its base valuation alone, as
@@ -76,7 +75,7 @@ func initOf(s *discovery.Sample, val int) string {
 func baseOnly(s *discovery.Sample) *discovery.Sample {
 	c := *s
 	c.Vals = s.Vals[:1]
-	c.BatchInitSource, c.BatchExpectedOut = c.InitSource, c.Vals[0].ExpectedOut
+	c.InitSource, c.ExpectedOut = initOf(s, 0), c.Vals[0].ExpectedOut
 	return &c
 }
 
@@ -557,20 +556,6 @@ func BenchmarkSameOutput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !e.SameOutput(s, s.Region) {
-			b.Fatal("the unmutated region must reproduce its output")
-		}
-	}
-}
-
-// BenchmarkSameOutputBase checks alpha's unmutated addition region under
-// its base valuation: one assembly, link and settling run per op.
-func BenchmarkSameOutputBase(b *testing.B) {
-	e, samples := setup(b, alpha.New())
-	s := samples["int.add.b_c"]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.SameOutputBase(s, s.Region) {
 			b.Fatal("the unmutated region must reproduce its output")
 		}
 	}
