@@ -71,7 +71,8 @@ func DiscoverImmRanges(rig *discovery.Rig, m *discovery.Model, texts []string) {
 }
 
 // probeRange bisects the acceptable immediate range for the literal token
-// tok on line li of the text.
+// tok on line li of the text. A position that rejects 0 yields [0,0],
+// reported only if it accepts 1.
 func probeRange(rig *discovery.Rig, m *discovery.Model, lines []string, li int, tok string) (lo, hi int64, ok bool) {
 	accepts := func(v int64) bool {
 		newLine, ok := replaceToken(lines[li], tok, fmt.Sprintf("%s%d", m.LitPrefix, v))
@@ -86,10 +87,9 @@ func probeRange(rig *discovery.Rig, m *discovery.Model, lines []string, li int, 
 	}
 	const max32 = 1<<31 - 1
 	const min32 = -1 << 31
-	if !accepts(0) && !accepts(1) {
-		return 0, 0, false
+	if !accepts(0) {
+		return 0, 0, accepts(1)
 	}
-	// Bounds: exponential climb then bisect, in each direction.
 	hi = climb(accepts, max32)
 	lo = -climb(func(v int64) bool { return accepts(-v) }, -min32)
 	return lo, hi, true
@@ -118,31 +118,21 @@ func replaceToken(line, tok, repl string) (string, bool) {
 	}
 }
 
-// climb finds the largest accepted value in [0, limit] assuming acceptance
-// is downward closed from some threshold.
+// climb finds the largest accepted value in [0, limit], given that 0 is
+// accepted: the cap first, then an exponential climb, then bisection. It
+// assumes acceptance is downward closed; a range with a hole fools it
+// (accepting 0..9 and 16..limit, it answers limit and never sees 10..15).
 func climb(accepts func(int64) bool, limit int64) int64 {
-	if !accepts(0) {
-		return 0
+	if accepts(limit) {
+		return limit
 	}
-	good := int64(0)
-	step := int64(1)
-	for good+step <= limit {
-		if accepts(good + step) {
-			good += step
-			step *= 2
-		} else {
+	good, bad := int64(0), limit
+	for step := int64(1); good+step < bad; step *= 2 {
+		if !accepts(good + step) {
+			bad = good + step
 			break
 		}
-	}
-	if good+step > limit {
-		if accepts(limit) {
-			return limit
-		}
-	}
-	// Bisect between good and good+step.
-	bad := good + step
-	if bad > limit {
-		bad = limit + 1
+		good += step
 	}
 	for good+1 < bad {
 		mid := good + (bad-good)/2

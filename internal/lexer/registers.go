@@ -2,6 +2,7 @@ package lexer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -110,7 +111,12 @@ func collectCandidates(m *discovery.Model, texts []string) []string {
 	for _, text := range texts {
 		instrs, defs := scanText(m, text)
 		for l := range defs {
+			// A defined label's sub-tokens are symbols too: ".L1:" keeps
+			// the "L1" of "jmp .L1" out of the candidates.
 			labels[l] = true
+			for _, t := range subTokens(l) {
+				labels[t.text] = true
+			}
 		}
 		all = append(all, instrs...)
 	}
@@ -153,7 +159,7 @@ func findProbe(rig *discovery.Rig, m *discovery.Model, texts []string, candidate
 			for _, a := range ins.Args {
 				for _, t := range subTokens(a.Text) {
 					tok := t.text
-					if !containsStr(candidates, tok) {
+					if !slices.Contains(candidates, tok) {
 						continue
 					}
 					idx := strings.Index(text, ins.Raw)
@@ -191,22 +197,14 @@ func findProbe(rig *discovery.Rig, m *discovery.Model, texts []string, candidate
 	return regProbe{}, false
 }
 
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // DiscoverClobber finds an instruction template that sets a register to an
 // immediate — the clobber mutation's workhorse (paper Fig. 6 uses the
 // Alpha's ldiq). Candidates are two-operand instructions from the corpus
 // probed with (literal, register) and (register, literal) operand orders;
 // a candidate is validated *semantically* by inserting it into a sample
 // region ahead of a register's final use and checking that the program
-// then prints the clobber constant. initText is the compiled initializer
+// then prints the clobber constant. The first candidate in corpus order
+// that assembles and validates wins. initText is the compiled initializer
 // of samples[0], which every validation probe links.
 func DiscoverClobber(rig *discovery.Rig, m *discovery.Model, samples []*discovery.Sample, initText string) error {
 	type cand struct {
@@ -235,33 +233,23 @@ func DiscoverClobber(rig *discovery.Rig, m *discovery.Model, samples []*discover
 		}
 		return fmt.Sprintf("\t%s %s, %s", c.op, reg, lit(k))
 	}
-	// Assembler-level filter: a candidate passes if it assembles with at
-	// least one discovered register (register classes differ: %cl on the
-	// x86 is shift-count only).
-	var accepted []cand
-	base := samples[0]
-	for _, c := range cands {
-		for _, reg := range m.Registers {
-			if rig.Accepts(insertLine(base, 0, render(c, reg, 1235))) {
-				accepted = append(accepted, c)
-				break
-			}
-		}
-	}
-	if len(accepted) == 0 {
-		return fmt.Errorf("lexer: no clobber candidate accepted by the assembler")
-	}
-	// Semantic validation: inserting CLOB(K, R) before an instruction and
-	// seeing K in the output proves the template sets R to K.
 	initUnit, err := rig.Assemble(initText)
 	if err != nil {
 		return fmt.Errorf("lexer: init unit: %v", err)
 	}
-	for _, c := range accepted {
-		c := c
-		if validateClobber(rig, m, samples, len(base.Vals), initUnit, func(reg string, k int64) string { return render(c, reg, k) }) {
-			m.Clobber = func(reg string, k int64) string { return render(c, reg, k) }
-			m.ClobberText = strings.TrimSpace(strings.Replace(render(c, "<r>", 0), lit(0), "<k>", 1))
+	base := samples[0]
+	for _, c := range cands {
+		clob := func(reg string, k int64) string { return render(c, reg, k) }
+		// The candidate must assemble with at least one discovered register
+		// (register classes differ: %cl on the x86 is shift-count only).
+		// Then inserting CLOB(K, R) before an instruction and seeing K in
+		// the output proves the template sets R to K.
+		assembles := slices.ContainsFunc(m.Registers, func(reg string) bool {
+			return rig.Accepts(insertLine(base, 0, clob(reg, 1235)))
+		})
+		if assembles && validateClobber(rig, samples, len(base.Vals), initUnit, clob) {
+			m.Clobber = clob
+			m.ClobberText = strings.TrimSpace(strings.Replace(clob("<r>", 0), lit(0), "<k>", 1))
 			return nil
 		}
 	}
@@ -293,7 +281,7 @@ func insertLine(s *discovery.Sample, i int, line string) string {
 // validateClobber links every probe with initUnit, which runs the
 // payload once for each of its vals valuations, so a template that sets
 // the output register prints its constant once per valuation.
-func validateClobber(rig *discovery.Rig, m *discovery.Model, samples []*discovery.Sample, vals int, initUnit *asm.Unit, render func(string, int64) string) bool {
+func validateClobber(rig *discovery.Rig, samples []*discovery.Sample, vals int, initUnit *asm.Unit, render func(string, int64) string) bool {
 	const k1, k2 = 29173, -12345
 	printed := func(k int64) string { return strings.Repeat(fmt.Sprintf("%d\n", int32(k)), vals) }
 	for _, s := range samples {
@@ -302,8 +290,7 @@ func validateClobber(rig *discovery.Rig, m *discovery.Model, samples []*discover
 		}
 		// Try clobbering each register occurring in the region, before
 		// each instruction position following its first appearance.
-		regs := regionRegisters(m, s)
-		for _, reg := range regs {
+		for _, reg := range discovery.Registers(s.Region) {
 			for i := 1; i <= len(s.Region); i++ {
 				out1, err1 := assembleRun(rig, insertLine(s, i, render(reg, k1)), initUnit)
 				if err1 != nil || out1 != printed(k1) {
@@ -334,21 +321,4 @@ func assembleRun(rig *discovery.Rig, text string, initUnit *asm.Unit) (string, e
 		return "", err
 	}
 	return rig.LinkRun("", u, initUnit)
-}
-
-// regionRegisters lists registers mentioned in a sample's region.
-func regionRegisters(m *discovery.Model, s *discovery.Sample) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, ins := range s.Region {
-		for _, a := range ins.Args {
-			for _, t := range subTokens(a.Text) {
-				if m.IsReg(t.text) && !seen[t.text] {
-					seen[t.text] = true
-					out = append(out, t.text)
-				}
-			}
-		}
-	}
-	return out
 }
