@@ -1,0 +1,188 @@
+package extract_test
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+
+	"srcg/internal/core"
+	"srcg/internal/extract"
+	"srcg/internal/obs"
+	"srcg/internal/sem"
+	"srcg/internal/target"
+	"srcg/internal/target/alpha"
+	"srcg/internal/target/mips"
+	"srcg/internal/target/sparc"
+	"srcg/internal/target/vax"
+	"srcg/internal/target/x86"
+)
+
+func newTarget(arch string) target.Toolchain {
+	switch arch {
+	case "x86":
+		return x86.New()
+	case "sparc":
+		return sparc.New()
+	case "mips":
+		return mips.New()
+	case "alpha":
+		return alpha.New()
+	}
+	return vax.New()
+}
+
+var (
+	discoveredMu sync.Mutex
+	discoveries  = map[string]*core.Discovery{}
+)
+
+// discovered returns the seed-1 discovery of arch, run once per test
+// binary.
+func discovered(tb testing.TB, arch string) *core.Discovery {
+	tb.Helper()
+	discoveredMu.Lock()
+	defer discoveredMu.Unlock()
+	if d, ok := discoveries[arch]; ok {
+		return d
+	}
+	d, err := core.Discover(newTarget(arch), core.Options{Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	discoveries[arch] = d
+	return d
+}
+
+// sameCandidates reports the first place two candidate sequences differ.
+func sameCandidates(got, want []extract.Candidate) error {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Errorf("candidate %d: stream %v, eager %v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("stream yields %d candidates, eager product %d", len(got), len(want))
+	}
+	return nil
+}
+
+// TestStreamMatchesEagerProduct holds the lazy candidate stream to the
+// eager product it replaced — every per-output list combined row-major,
+// cut at total*4, stable-sorted by summed score and cut at total — on
+// every step of the five targets' seed-1 graphs, under the default
+// weights and the tie-heavy blind ones, and on hand-made lists.
+func TestStreamMatchesEagerProduct(t *testing.T) {
+	weights := []struct {
+		name string
+		w    extract.Weights
+	}{{"default", extract.DefaultWeights}, {"blind", extract.BlindWeights}}
+	for _, arch := range []string{"x86", "sparc", "mips", "alpha", "vax"} {
+		d := discovered(t, arch)
+		for _, w := range weights {
+			t.Run(arch+"/"+w.name, func(t *testing.T) {
+				x := extract.New(d.Model.WordBits, w.w, extract.MBoosts(d.Matches))
+				for _, g := range d.ExtractionGraphs() {
+					for i := range g.Steps {
+						st := &g.Steps[i]
+						// Unfixed at both search sizes, then with the
+						// committed trees fixed, and with only the first
+						// output fixed.
+						partials := []*sem.Sem{nil, nil, d.Ext.Sems[st.Sig]}
+						totals := []int{4000, 400, 400}
+						if s := d.Ext.Sems[st.Sig]; s != nil && len(s.Outs) > 1 {
+							keys := make([]string, 0, len(s.Outs))
+							for k := range s.Outs {
+								keys = append(keys, k)
+							}
+							sort.Strings(keys)
+							partials = append(partials, &sem.Sem{Outs: map[string]*sem.Tree{keys[0]: s.Outs[keys[0]]}})
+							totals = append(totals, 400)
+						}
+						for j, p := range partials {
+							got, want := extract.StreamAndEager(x, g, st, p, totals[j])
+							if err := sameCandidates(got, want); err != nil {
+								t.Fatalf("%s step %d (%s), partial %v, total %d: %v", g.Sample.Name, i, st.Sig, p, totals[j], err)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+	synthetic := []struct {
+		name   string
+		scores [][]float64
+		cond   bool
+		total  int
+	}{
+		{"ties", [][]float64{{1, 1, 1, 0}, {2, 2, 0, 0}}, false, 3},
+		{"three axes", [][]float64{{3, 2.5, 1, -1, -4}, {0.5, 0.5, -2}, {1, 0, 0, -0.25, -3}}, false, 5},
+		{"three axes cut below a stride", [][]float64{{0, -0.1, -0.2}, {0, 0, -1, -1, -1}, {0, -0.5, -0.5, -0.5}}, false, 2},
+		{"condition axis", [][]float64{{-1.5, -2, -2}, {4, 1, 1, 0}}, true, 4},
+		{"one empty list", [][]float64{{1, 0}, {}, {3}}, false, 4},
+		{"no axes", nil, false, 4},
+		{"total 0", [][]float64{{0.1, 0.1, -0.3}, {0.7, 0.2, 0.2, 0.2}, {0, -0.1}}, true, 0},
+	}
+	for _, c := range synthetic {
+		got, want := extract.SyntheticStreamAndEager(c.scores, c.cond, c.total)
+		if err := sameCandidates(got, want); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestExhaustedSampleSearchedOnce: VAX's int.shr.b_c (a signed-count
+// shift, beyond the primitives) exhausts its search in the first pass,
+// and no later pass commits or retracts any of its signatures, so one
+// SolveAll searches it once: one solve in the candidates-per-solve
+// histogram tries 16,384 or more candidates, where searching it again
+// in each pass made two.
+func TestExhaustedSampleSearchedOnce(t *testing.T) {
+	d := discovered(t, "vax")
+	tr := obs.New(obs.NewVirtualClock(), nil)
+	x := extract.New(d.Model.WordBits, extract.DefaultWeights, extract.MBoosts(d.Matches))
+	x.Tr = tr
+	out := x.SolveAll(d.ExtractionGraphs())
+	if len(out.Failed) != 1 || out.Failed[0] != "int.shr.b_c" {
+		t.Fatalf("failed %v, want [int.shr.b_c]", out.Failed)
+	}
+	var big int64
+	for _, h := range tr.Hists() {
+		if h.Name != extract.HistCandidatesPerSolve {
+			continue
+		}
+		for b, n := range h.Buckets {
+			if obs.BucketLow(b) >= 16384 {
+				big += n
+			}
+		}
+	}
+	if big != 1 {
+		t.Errorf("%d solves tried 16,384 candidates or more, want int.shr.b_c's one", big)
+	}
+}
+
+// BenchmarkSolveAll times reverse interpretation alone: graph matching
+// and SolveAll over the graphs of one seed-1 discovery, the work of the
+// reverse-interpretation phase.
+func BenchmarkSolveAll(b *testing.B) {
+	for _, arch := range []string{"sparc", "vax"} {
+		b.Run(arch, func(b *testing.B) {
+			d := discovered(b, arch)
+			graphs := d.ExtractionGraphs()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var matches []*extract.MatchResult
+				for _, g := range graphs {
+					if m := extract.Match(g); m != nil {
+						matches = append(matches, m)
+					}
+				}
+				x := extract.New(d.Model.WordBits, extract.DefaultWeights, extract.MBoosts(matches))
+				x.SolveAll(graphs)
+			}
+		})
+	}
+}

@@ -342,3 +342,96 @@ func TestRecoverySearchPaperFaithful(t *testing.T) {
 		t.Errorf("committed semantics = %v, want plain shiftLeft", x.Sems["ashx:lit,mem,reg"])
 	}
 }
+
+// copyGraph models `a = f(b)` as a load-like step then a store-like one,
+// under the given signatures; vals are {a0, b, expect} triples.
+func copyGraph(name, loadSig, storeSig string, vals ...[3]int64) *dfg.Graph {
+	s := &discovery.Sample{Name: name, Kind: discovery.PUnary, Shape: "b"}
+	for _, v := range vals {
+		s.Vals = append(s.Vals, discovery.Valuation{A0: v[0], B: v[1], C: 3, Expect: v[2]})
+	}
+	return &dfg.Graph{
+		Sample: s,
+		Labels: map[string]int{}, SlotA: "A", SlotB: "B", SlotC: "C",
+		Steps: []dfg.Step{
+			{Sig: loadSig,
+				Ins:  []dfg.Port{memPort("B", 0)},
+				Outs: []dfg.Port{regPort("%edx", 1, -1)}},
+			{Sig: storeSig,
+				Ins:  []dfg.Port{regPort("%edx", 0, 0), memPort("A", 1)},
+				Outs: []dfg.Port{memPort("A", 1)}},
+		},
+	}
+}
+
+// unexplained are valuations no candidate tree pair turns b into.
+var unexplained = [][3]int64{{5, 77, 123457}, {16, 84, 9871}}
+
+// solves runs SolveAll with a private tracer and returns the outcome and
+// how many solve attempts it made.
+func solves(x *Extractor, graphs ...*dfg.Graph) (Outcome, int64) {
+	x.Tr = obs.New(obs.NewVirtualClock(), nil)
+	out := x.SolveAll(graphs)
+	for _, h := range x.Tr.Hists() {
+		if h.Name == HistCandidatesPerSolve {
+			return out, h.Count
+		}
+	}
+	return out, 0
+}
+
+// TestExhaustedSearchMemo: a sample no candidate explains is searched
+// again only after one of its signatures is committed or retracted.
+func TestExhaustedSearchMemo(t *testing.T) {
+	t.Run("unchanged", func(t *testing.T) {
+		// Pass 1 searches u and solves move; pass 2 skips u, whose
+		// signatures move does not share.
+		u := copyGraph("u", "frob:mem,reg", "frobst:reg,mem", unexplained...)
+		out, n := solves(New(32, DefaultWeights, nil), u, moveGraph())
+		if len(out.Failed) != 1 || n != 2 {
+			t.Errorf("failed %v after %d solves, want [u] after 2", out.Failed, n)
+		}
+	})
+	t.Run("commit", func(t *testing.T) {
+		// move commits u's store in pass 1, so pass 2 searches u again.
+		u := copyGraph("u", "frob:mem,reg", "movl:reg,mem", unexplained...)
+		out, n := solves(New(32, DefaultWeights, nil), u, moveGraph())
+		if len(out.Failed) != 1 || n != 3 {
+			t.Errorf("failed %v after %d solves, want [u] after 3", out.Failed, n)
+		}
+	})
+	t.Run("retract", func(t *testing.T) {
+		// u's committed frob cannot be evaluated (division by zero), so
+		// pass 1 runs its recovery search; move is decidable but wrong
+		// and retracts the store it shares with u. Pass 2 searches u for
+		// the store and solves move, which commits it again, so pass 3
+		// searches u once more.
+		x := New(32, DefaultWeights, nil)
+		x.Sems["frob:mem,reg"] = &sem.Sem{Outs: map[string]*sem.Tree{"a1": sem.Bin(sem.PDiv, sem.Load(sem.Arg("a0")), sem.Lit(0))}}
+		x.Sems["movl:mem,reg"] = &sem.Sem{Outs: map[string]*sem.Tree{"a1": sem.Load(sem.Arg("a0"))}}
+		x.Sems["movl:reg,mem"] = &sem.Sem{Outs: map[string]*sem.Tree{"a1": sem.Un(sem.PNeg, sem.Arg("a0"))}}
+		u := copyGraph("u", "frob:mem,reg", "movl:reg,mem", unexplained...)
+		out, n := solves(x, u, moveGraph())
+		if len(out.Failed) != 1 || n != 5 {
+			t.Errorf("failed %v after %d solves, want [u] after 5", out.Failed, n)
+		}
+	})
+}
+
+// TestInconsistentSearchNotMemoised: a search whose candidates explain
+// the sample but break another decidable one depends on more than the
+// sample's own signatures, so it runs again in every pass.
+func TestInconsistentSearchNotMemoised(t *testing.T) {
+	// s wants a = b and d wants a = -b through the same store, so each
+	// one's explanations break the other; z solves alone, which gives a
+	// second pass.
+	x := New(32, DefaultWeights, nil)
+	x.Sems["movl:mem,reg"] = &sem.Sem{Outs: map[string]*sem.Tree{"a1": sem.Load(sem.Arg("a0"))}}
+	s := copyGraph("s", "movl:mem,reg", "frobst:reg,mem", [3]int64{5, 77, 77}, [3]int64{16, 84, 84})
+	d := copyGraph("d", "movl:mem,reg", "frobst:reg,mem", [3]int64{9, 61, -61}, [3]int64{23, 90, -90})
+	z := copyGraph("z", "zld:mem,reg", "zst:reg,mem", [3]int64{5, 77, 77}, [3]int64{16, 84, 84})
+	out, n := solves(x, s, d, z)
+	if len(out.Failed) != 2 || n != 5 {
+		t.Errorf("failed %v after %d solves, want [s d] after 5", out.Failed, n)
+	}
+}
