@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -109,6 +110,7 @@ func TestRecordMatchesSuite(t *testing.T) {
 		t.Errorf("%s records %v; the suite runs %v", recordPath, recIDs, ids)
 	}
 	checkCostRow(t, md, got["E15"])
+	checkSearchRow(t, md, got["E10"])
 	checkDivergenceNotes(t, md)
 }
 
@@ -156,6 +158,36 @@ func checkCostRow(t *testing.T, md, e15 string) {
 		if !strings.Contains(row, want) {
 			t.Errorf("%s's cost row does not quote E15's %q", recordPath, want)
 		}
+	}
+}
+
+// checkSearchRow holds the summary table's "one or two tries" row to the
+// E10 block's VAX figures: "VAX tries T: U of them are the one search of
+// the unsolvable `int.shr.b_c` ..., and its S solved searches take R,
+// P/search", where T and S are E10's candidates tried and by-search, the
+// two parts add up to T, and P is R/S rounded.
+func checkSearchRow(t *testing.T, md, e10 string) {
+	t.Helper()
+	_, row, ok := strings.Cut(md, "\n| Reverse interpreter finds interpretations")
+	row, _, _ = strings.Cut(row, "\n")
+	m := regexp.MustCompile("VAX tries ([0-9,]+): ([0-9,]+) of them are .* its ([0-9]+) solved searches take ([0-9,]+), ([0-9]+)/search").FindStringSubmatch(row)
+	if !ok || m == nil {
+		t.Fatalf("%s has no search row quoting VAX's tries", recordPath)
+	}
+	n := make([]int, len(m))
+	for i := 1; i < len(m); i++ {
+		n[i], _ = strconv.Atoi(strings.ReplaceAll(m[i], ",", ""))
+	}
+	var bySearch, tried int
+	for _, line := range strings.Split(e10, "\n") {
+		if f := strings.Fields(line); len(f) == 6 && f[0] == "vax" {
+			bySearch, _ = strconv.Atoi(f[4])
+			tried, _ = strconv.Atoi(f[5])
+		}
+	}
+	if n[1] != tried || n[3] != bySearch || n[2]+n[4] != tried || n[5] != (2*n[4]+n[3])/(2*n[3]) {
+		t.Errorf("%s's search row quotes VAX %q; E10 has %d candidates tried and %d by search",
+			recordPath, m[0], tried, bySearch)
 	}
 }
 
