@@ -3,10 +3,13 @@ package extract_test
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"srcg/internal/core"
+	"srcg/internal/dfg"
+	"srcg/internal/discovery"
 	"srcg/internal/extract"
 	"srcg/internal/obs"
 	"srcg/internal/sem"
@@ -38,7 +41,7 @@ var (
 )
 
 // discovered returns the seed-1 discovery of arch, run once per test
-// binary.
+// binary; an arch suffixed "-full" discovers the full shape set.
 func discovered(tb testing.TB, arch string) *core.Discovery {
 	tb.Helper()
 	discoveredMu.Lock()
@@ -46,7 +49,8 @@ func discovered(tb testing.TB, arch string) *core.Discovery {
 	if d, ok := discoveries[arch]; ok {
 		return d
 	}
-	d, err := core.Discover(newTarget(arch), core.Options{Seed: 1})
+	name, full := strings.CutSuffix(arch, "-full")
+	d, err := core.Discover(newTarget(name), core.Options{Seed: 1, Full: full})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -163,11 +167,110 @@ func TestExhaustedSampleSearchedOnce(t *testing.T) {
 	}
 }
 
+// TestMemoMatchesRun holds the search's trajectory memo to run: every
+// combination every search judges gets the memo's verdict that run gives
+// on its overlay, over the five targets' quick and full graphs at seeds
+// 1-3, with and without the signed-shift primitive, and over a hand-built
+// graph whose branch loops back through need steps. It also bounds the
+// memo of VAX's unsolvable int.shr.b_c, whose one seed-1 search judges
+// 20,592 combinations: it makes at most a tenth as many nodes.
+func TestMemoMatchesRun(t *testing.T) {
+	check := func(t *testing.T, x *extract.Extractor, graphs []*dfg.Graph) (extract.Outcome, *extract.MemoCheck) {
+		t.Helper()
+		out, c := extract.SolveAllCheckingMemo(x, graphs)
+		for i, m := range c.Mismatches {
+			if i == 5 {
+				t.Errorf("... %d more", len(c.Mismatches)-i)
+				break
+			}
+			t.Error(m)
+		}
+		return out, c
+	}
+	for _, full := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, arch := range []string{"x86", "sparc", "mips", "alpha", "vax"} {
+				t.Run(fmt.Sprintf("%s/seed%d/full=%v", arch, seed, full), func(t *testing.T) {
+					d, err := core.Discover(newTarget(arch), core.Options{Seed: seed, Full: full})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ash := range []bool{false, true} {
+						x := extract.New(d.Model.WordBits, extract.DefaultWeights, extract.MBoosts(d.Matches))
+						x.SignedShifts = ash
+						_, c := check(t, x, d.ExtractionGraphs())
+						if arch != "vax" || seed != 1 || full || ash {
+							continue
+						}
+						if ns := c.Nodes["int.shr.b_c"]; len(ns) != 1 || ns[0] > 2059 {
+							t.Errorf("int.shr.b_c's searches made %v memo nodes, want one search of at most 2,059", ns)
+						}
+					}
+				})
+			}
+		}
+	}
+	t.Run("loop", func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			expect func(b, c int64) int64
+			solved bool
+		}{
+			{"solvable", func(b, c int64) int64 { return min(b-1, c) }, true},
+			{"unsolvable", func(b, c int64) int64 { return 3*b + 12345 }, false},
+		} {
+			x := extract.New(32, extract.DefaultWeights, nil)
+			x.Sems["movl:mem,reg"] = &sem.Sem{Outs: map[string]*sem.Tree{"a1": sem.Load(sem.Arg("a0"))}}
+			x.Sems["cmpl:mem,reg"] = &sem.Sem{Outs: map[string]*sem.Tree{"h.jg": sem.Bin(sem.PCmp, sem.Arg("a1"), sem.Load(sem.Arg("a0")))}}
+			out, c := check(t, x, []*dfg.Graph{loopGraph(tc.expect)})
+			if solved := len(out.Solved) == 1; solved != tc.solved || c.Combos < 100 {
+				t.Errorf("%s: solved %v after %d combinations (%d explained), want solved %v after 100 or more",
+					tc.name, out.Solved, c.Combos, c.Explained, tc.solved)
+			}
+		}
+	})
+}
+
+// loopGraph models `r = b; do r = r - 1; while (r > c); a = r` with the
+// decrement, the branch and the final store unknown. The store writes a
+// and then a register whose tree may load a back, so the store must land
+// before the second output is judged. Each valuation's expected a is
+// expect(b, c).
+func loopGraph(expect func(b, c int64) int64) *dfg.Graph {
+	s := &discovery.Sample{Name: "loop", Kind: discovery.PBinary, COp: "-", Shape: "b,c"}
+	for _, v := range [][2]int64{{10, 6}, {4, 6}, {20, 17}} {
+		s.Vals = append(s.Vals, discovery.Valuation{A0: 99, B: v[0], C: v[1], Expect: expect(v[0], v[1])})
+	}
+	reg := func(r string, arg, producer int) dfg.Port {
+		return dfg.Port{Kind: dfg.PReg, Reg: r, ArgIdx: arg, Producer: producer}
+	}
+	mem := func(addr string, arg int) dfg.Port {
+		return dfg.Port{Kind: dfg.PMem, Addr: addr, ArgIdx: arg, Producer: -1}
+	}
+	return &dfg.Graph{
+		Sample: s,
+		Labels: map[string]int{"L": 1}, SlotA: "A", SlotB: "B", SlotC: "C",
+		Steps: []dfg.Step{
+			{Sig: "movl:mem,reg", Ins: []dfg.Port{mem("B", 0)}, Outs: []dfg.Port{reg("%eax", 1, -1)}},
+			{Sig: "decl:reg", Labels: []string{"L"}, Ins: []dfg.Port{reg("%eax", 0, 0)}, Outs: []dfg.Port{reg("%eax", 0, -1)}},
+			{Sig: "cmpl:mem,reg",
+				Ins:  []dfg.Port{mem("C", 0), reg("%eax", 1, 1)},
+				Outs: []dfg.Port{{Kind: dfg.PHidden, Tag: "cc", ArgIdx: -1, Producer: -1, KeyName: "h.jg"}}},
+			{Sig: "jg:label", Target: "L",
+				Ins: []dfg.Port{{Kind: dfg.PHidden, Tag: "cc", ArgIdx: -1, Producer: 2, KeyName: "h"}}},
+			{Sig: "stx:reg,mem",
+				Ins:  []dfg.Port{reg("%eax", 0, 1), mem("A", 1)},
+				Outs: []dfg.Port{mem("A", 1), reg("%edx", 0, -1)}},
+		},
+	}
+}
+
 // BenchmarkSolveAll times reverse interpretation alone: graph matching
 // and SolveAll over the graphs of one seed-1 discovery, the work of the
-// reverse-interpretation phase.
+// reverse-interpretation phase; vax-full is the full shape set, whose
+// second searches of int.shr.b_c and int.shr.K_b run to the budget.
 func BenchmarkSolveAll(b *testing.B) {
-	for _, arch := range []string{"sparc", "vax"} {
+	for _, arch := range []string{"sparc", "vax", "vax-full"} {
 		b.Run(arch, func(b *testing.B) {
 			d := discovered(b, arch)
 			graphs := d.ExtractionGraphs()

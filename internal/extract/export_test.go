@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,4 +137,54 @@ func eagerProduct(lists [][]scored, total int) []Candidate {
 		out[i] = Candidate{Sem: c.s.String(), Score: c.score}
 	}
 	return out
+}
+
+// MemoCheck is what holding every combination's memo verdict to run
+// found over one SolveAll.
+type MemoCheck struct {
+	// Combos counts the combinations the searches judged, and Explained
+	// the ones the memo passed.
+	Combos, Explained int
+	// Mismatches lists the combinations on which the memo and run differ.
+	Mismatches []string
+	// Nodes holds each search's memo nodes, by sample, in search order.
+	Nodes map[string][]int
+}
+
+// SolveAllCheckingMemo runs x.SolveAll, running every combination a search
+// judges through run on its overlay as well and comparing the verdicts.
+func SolveAllCheckingMemo(x *Extractor, graphs []*dfg.Graph) (Outcome, *MemoCheck) {
+	c := &MemoCheck{Nodes: map[string][]int{}}
+	var last *memo
+	x.checkMemo = func(g *dfg.Graph, m *memo, trial trialSems, explains bool) {
+		c.Combos++
+		if explains {
+			c.Explained++
+		}
+		if ok, err := run(g, trial, x.Bits); (ok && err == nil) != explains {
+			c.Mismatches = append(c.Mismatches, fmt.Sprintf("%s under %s: memo %v, run %v, %v", g.Sample.Name, render(trial.over), explains, ok, err))
+		}
+		name := g.Sample.Name
+		if m != last {
+			c.Nodes[name] = append(c.Nodes[name], 0)
+			last = m
+		}
+		c.Nodes[name][len(c.Nodes[name])-1] = m.nodes
+	}
+	defer func() { x.checkMemo = nil }()
+	return x.SolveAll(graphs), c
+}
+
+// render lists sems' signatures in order, each with its semantics.
+func render(sems map[string]*sem.Sem) string {
+	sigs := make([]string, 0, len(sems))
+	for sig := range sems {
+		sigs = append(sigs, sig)
+	}
+	sort.Strings(sigs)
+	var sb strings.Builder
+	for _, sig := range sigs {
+		fmt.Fprintf(&sb, "[%s %s]", sig, sems[sig])
+	}
+	return sb.String()
 }

@@ -3,8 +3,6 @@ package extract
 import (
 	"container/heap"
 	"sort"
-	"strconv"
-	"strings"
 
 	"srcg/internal/dfg"
 	"srcg/internal/discovery"
@@ -51,6 +49,10 @@ type Extractor struct {
 	// Tr, when non-nil, receives telemetry: the candidates-tried counter
 	// and the per-solve candidate-cost histogram. A nil tracer is a no-op.
 	Tr *obs.Tracer
+
+	// checkMemo, when non-nil, sees every combination the search judges:
+	// the memo's verdict and the trial it stands for (tests hold it to run).
+	checkMemo func(g *dfg.Graph, m *memo, trial trialSems, explains bool)
 }
 
 // budget bounds candidates tried per search — the paper's timeout ("a
@@ -317,13 +319,19 @@ func (x *Extractor) search(g *dfg.Graph, needs []need, fresh bool) solveResult {
 	heap.Init(h)
 	start := make([]int, len(needs))
 	heap.Push(h, combo{idx: start, score: totalScore(lists, start)})
-	visited := map[string]bool{key(start): true}
+	visited := map[uint64]bool{pack(start): true}
+	memo := newMemo(g, x.Sems, x.Bits, needs, lists)
+	defer memo.release()
 	explained := false // some candidate explained g but broke another sample
 	for tried := 0; h.Len() > 0 && tried < budget; tried++ {
 		c := heap.Pop(h).(combo)
 		x.Tr.Count(CtrCandidatesTried, 1)
-		trial := x.overlay(needs, lists, c.idx)
-		if ok, err := run(g, trial, x.Bits); ok && err == nil {
+		ok := memo.explains(c.idx)
+		if x.checkMemo != nil {
+			x.checkMemo(g, memo, x.overlay(needs, lists, c.idx), ok)
+		}
+		if ok {
+			trial := x.overlay(needs, lists, c.idx)
 			if x.consistent(trial, needs) {
 				// Commit.
 				for i, n := range needs {
@@ -335,13 +343,13 @@ func (x *Extractor) search(g *dfg.Graph, needs []need, fresh bool) solveResult {
 			explained = true
 		}
 		for d := range c.idx {
-			ni := append([]int(nil), c.idx...)
-			ni[d]++
-			if !lists[d].has(ni[d]) || visited[key(ni)] {
-				continue
+			c.idx[d]++
+			if k := pack(c.idx); lists[d].has(c.idx[d]) && !visited[k] {
+				visited[k] = true
+				ni := append([]int(nil), c.idx...)
+				heap.Push(h, combo{idx: ni, score: totalScore(lists, ni)})
 			}
-			visited[key(ni)] = true
-			heap.Push(h, combo{idx: ni, score: totalScore(lists, ni)})
+			c.idx[d]--
 		}
 	}
 	if explained {
@@ -489,18 +497,14 @@ func totalScore(lists []*stream, idx []int) float64 {
 	return t
 }
 
-// key encodes a combo index vector as a map key. The search visits (and
-// re-checks) thousands of combos, so this avoids fmt's reflection.
-func key(idx []int) string {
-	var sb strings.Builder
-	sb.Grow(4 * len(idx))
-	for i, v := range idx {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(v))
+// pack encodes a combo's index vector as its visited-set key: a search has
+// at most three needs, and each index is below 4000 < 1<<16.
+func pack(idx []int) uint64 {
+	var k uint64
+	for _, v := range idx {
+		k = k<<16 | uint64(v)
 	}
-	return sb.String()
+	return k
 }
 
 type combo struct {
