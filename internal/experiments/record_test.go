@@ -162,10 +162,13 @@ func checkCostRow(t *testing.T, md, e15 string) {
 }
 
 // checkSearchRow holds the summary table's "one or two tries" row to the
-// E10 block's VAX figures: "VAX tries T: U of them are the one search of
-// the unsolvable `int.shr.b_c` ..., and its S solved searches take R,
-// P/search", where T and S are E10's candidates tried and by-search, the
-// two parts add up to T, and P is R/S rounded.
+// E10 block: "SPARC, Alpha and MIPS try T, T and T candidates for S, S and
+// S solved searches, L–H tries/search on average", "x86 tries T for S
+// (A/search)" and "VAX tries T: U of them are the one search of the
+// unsolvable `int.shr.b_c` ..., and its S solved searches take R,
+// P/search", where each T and S are the target's candidates tried and
+// by-search in E10, L–H and A are T/S rounded to 0.1, VAX's two parts
+// add up to its T, and P is R/S rounded.
 func checkSearchRow(t *testing.T, md, e10 string) {
 	t.Helper()
 	_, row, ok := strings.Cut(md, "\n| Reverse interpreter finds interpretations")
@@ -178,16 +181,28 @@ func checkSearchRow(t *testing.T, md, e10 string) {
 	for i := 1; i < len(m); i++ {
 		n[i], _ = strconv.Atoi(strings.ReplaceAll(m[i], ",", ""))
 	}
-	var bySearch, tried int
+	bySearch, tried := map[string]int{}, map[string]int{}
 	for _, line := range strings.Split(e10, "\n") {
-		if f := strings.Fields(line); len(f) == 6 && f[0] == "vax" {
-			bySearch, _ = strconv.Atoi(f[4])
-			tried, _ = strconv.Atoi(f[5])
+		if f := strings.Fields(line); len(f) == 6 {
+			bySearch[f[0]], _ = strconv.Atoi(f[4])
+			tried[f[0]], _ = strconv.Atoi(f[5])
 		}
 	}
-	if n[1] != tried || n[3] != bySearch || n[2]+n[4] != tried || n[5] != (2*n[4]+n[3])/(2*n[3]) {
+	if n[1] != tried["vax"] || n[3] != bySearch["vax"] || n[2]+n[4] != tried["vax"] || n[5] != (2*n[4]+n[3])/(2*n[3]) {
 		t.Errorf("%s's search row quotes VAX %q; E10 has %d candidates tried and %d by search",
-			recordPath, m[0], tried, bySearch)
+			recordPath, m[0], tried["vax"], bySearch["vax"])
+	}
+	perSearch := func(arch string) float64 { return float64(tried[arch]) / float64(bySearch[arch]) }
+	risc := []float64{perSearch("sparc"), perSearch("alpha"), perSearch("mips")}
+	for _, want := range []string{
+		fmt.Sprintf("SPARC, Alpha and MIPS try %d, %d and %d candidates for %d, %d and %d solved searches, %.1f–%.1f tries/search on average",
+			tried["sparc"], tried["alpha"], tried["mips"], bySearch["sparc"], bySearch["alpha"], bySearch["mips"],
+			slices.Min(risc), slices.Max(risc)),
+		fmt.Sprintf("x86 tries %d for %d (%.1f/search)", tried["x86"], bySearch["x86"], perSearch("x86")),
+	} {
+		if !strings.Contains(row, want) {
+			t.Errorf("%s's search row does not quote E10's %q", recordPath, want)
+		}
 	}
 }
 
