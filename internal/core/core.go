@@ -563,9 +563,9 @@ func (d *Discovery) Report() string {
 	for _, an := range mutate.AnalysisNames {
 		fmt.Fprintf(&sb, " %s=%d", an, d.Trace.Counter(mutate.RunsCounter(an)))
 	}
-	sb.WriteString("\njoint fallbacks:")
+	sb.WriteString("\njoint attempts/fallbacks:")
 	for _, an := range mutate.GroupedAnalyses {
-		fmt.Fprintf(&sb, " %s=%d", an, d.Trace.Counter(mutate.JointFallbackCounter(an)))
+		fmt.Fprintf(&sb, " %s=%d/%d", an, d.Trace.Counter(mutate.JointCounter(an)), d.Trace.Counter(mutate.JointFallbackCounter(an)))
 	}
 	sb.WriteString("\n")
 	// Cache occupancy is a view over the unsealed gauges Discover set; a

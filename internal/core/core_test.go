@@ -171,10 +171,10 @@ func TestCostAccounting(t *testing.T) {
 	}
 	// A grouped analysis's joint mutant that breaks is followed by at
 	// least one per-item probe, both tallied under that analysis; Report
-	// prints the fallbacks.
+	// prints the joints tried and the fallbacks.
 	var line string
 	for _, l := range strings.Split(d.Report(), "\n") {
-		if strings.HasPrefix(l, "joint fallbacks:") {
+		if strings.HasPrefix(l, "joint attempts/fallbacks:") {
 			line = l + " "
 		}
 	}
@@ -183,8 +183,12 @@ func TestCostAccounting(t *testing.T) {
 		if fb < 0 || 2*fb > runs {
 			t.Errorf("%s: %d joint fallbacks in %d mutant runs; each costs the joint mutant and a per-item probe", an, fb, runs)
 		}
-		if want := fmt.Sprintf(" %s=%d ", an, fb); !strings.Contains(line, want) {
-			t.Errorf("Report()'s joint fallbacks line %q lacks%q", line, want)
+		tried := d.Trace.Counter(mutate.JointCounter(an))
+		if tried < fb || tried > runs {
+			t.Errorf("%s: %d joints tried, %d fell back, in %d mutant runs; want fallbacks <= joints <= runs", an, tried, fb, runs)
+		}
+		if want := fmt.Sprintf(" %s=%d/%d ", an, tried, fb); !strings.Contains(line, want) {
+			t.Errorf("Report()'s joint attempts/fallbacks line %q lacks%q", line, want)
 		}
 	}
 	// The likelihood heuristics must keep the search small (§5.2.2: "often

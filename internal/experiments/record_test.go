@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"regexp"
@@ -126,7 +127,9 @@ func kRange(vs []int) string {
 
 // checkCostRow holds the summary table's "Complete analysis takes hours"
 // row to the E15 block: its executions, physical runs and assembles
-// ranges over the five targets.
+// ranges over the five targets, and the runs each execution costs, the
+// tenths that bracket every target's runs/executions. E15's own note
+// must quote the same bracket.
 func checkCostRow(t *testing.T, md, e15 string) {
 	t.Helper()
 	_, row, ok := strings.Cut(md, "\n| Complete analysis takes hours")
@@ -150,14 +153,24 @@ func checkCostRow(t *testing.T, md, e15 string) {
 			col[name] = append(col[name], v)
 		}
 	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i, runs := range col["runs"] {
+		r := float64(runs) / float64(col["executions"][i])
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	lo, hi = math.Floor(10*lo)/10, math.Ceil(10*hi)/10
 	for _, want := range []string{
 		kRange(col["executions"]) + " executions",
 		"paid with " + kRange(col["runs"]) + " physical runs",
+		fmt.Sprintf(": %.1f–%.1f runs each", lo, hi),
 		kRange(col["assembles"]) + " assembles",
 	} {
 		if !strings.Contains(row, want) {
 			t.Errorf("%s's cost row does not quote E15's %q", recordPath, want)
 		}
+	}
+	if want := fmt.Sprintf("runs/executions is %.1f-%.1f", lo, hi); !strings.Contains(strings.Join(strings.Fields(e15), " "), want) {
+		t.Errorf("E15's note does not read %q", want)
 	}
 }
 

@@ -102,6 +102,55 @@ func TestBootstrapDiscoversSyntax(t *testing.T) {
 	}
 }
 
+// wantRegisters pins each target's discovered register set at seed 1.
+var wantRegisters = map[string]string{
+	"x86":   "%eax %ebp %ebx %ecx %edi %edx %esi %esp",
+	"sparc": "%fp %g0 %g1 %g2 %g3 %g4 %g5 %g6 %g7 %l0 %l1 %l2 %l3 %l4 %l5 %l6 %l7 %o0 %o1 %o2 %o3 %o4 %o5 %o6 %o7 %sp",
+	"mips":  "$0 $1 $10 $11 $12 $13 $14 $15 $16 $17 $18 $19 $2 $20 $21 $22 $23 $24 $25 $26 $27 $28 $29 $3 $30 $31 $4 $5 $6 $7 $8 $9 $fp $sp",
+	"alpha": "$0 $1 $10 $11 $12 $13 $14 $15 $16 $17 $18 $19 $2 $20 $21 $22 $23 $24 $25 $26 $27 $28 $29 $3 $30 $31 $4 $5 $6 $7 $8 $9 $fp $sp",
+	"vax":   "ap fp r0 r1 r10 r11 r2 r3 r4 r5 r6 r7 r8 r9 sp",
+}
+
+// TestDirectiveSymbolsAreNotCandidates: a name a directive declares
+// (".comm z1, 4", ".globl main") is a symbol, like a label, so the
+// register search never spends an assembly on it; the register set comes
+// out the same. Names that are only called (exit, printf) stay candidates.
+func TestDirectiveSymbolsAreNotCandidates(t *testing.T) {
+	for _, tc := range allTargets() {
+		rig, m, samples := bootstrapFor(t, tc)
+		texts := make([]string, 0, len(samples)+2)
+		for _, s := range samples {
+			texts = append(texts, s.FullAsm)
+		}
+		for _, src := range []string{samples[0].InitSource, samples[0].HelperSource} {
+			text, err := rig.CompileAsm(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			texts = append(texts, text)
+		}
+		decl := map[string]bool{}
+		for _, text := range texts {
+			for _, line := range strings.Split(text, "\n") {
+				if f := strings.Fields(line); len(f) > 1 && (f[0] == ".comm" || f[0] == ".globl") {
+					decl[strings.TrimSuffix(f[1], ",")] = true
+				}
+			}
+		}
+		if !decl["z1"] || !decl["main"] {
+			t.Fatalf("%s: directives declare %v; want z1 and main among them", tc.Name(), decl)
+		}
+		for _, c := range collectCandidates(m, texts) {
+			if decl[c] {
+				t.Errorf("%s: candidate %s is declared by a directive", tc.Name(), c)
+			}
+		}
+		if got := strings.Join(m.Registers, " "); got != wantRegisters[tc.Name()] {
+			t.Errorf("%s: registers %s; want %s", tc.Name(), got, wantRegisters[tc.Name()])
+		}
+	}
+}
+
 func TestSPARCImmediateRange(t *testing.T) {
 	_, m, _ := bootstrapFor(t, sparc.New())
 	// The paper's headline example: add's immediate is [-4096,4095].

@@ -81,29 +81,52 @@ func DiscoverRegisters(rig *discovery.Rig, m *discovery.Model, texts []string) e
 	return nil
 }
 
-// scanText tokenizes every instruction line of an assembly text (label
-// definitions recorded, directives skipped).
-func scanText(m *discovery.Model, text string) (instrs []discovery.Instr, labels map[string]bool) {
-	labels = map[string]bool{}
+// scanText tokenizes every instruction line of an assembly text and
+// records the symbols it defines: its labels, and the names its
+// directives declare. A directive is skipped otherwise.
+func scanText(m *discovery.Model, text string) (instrs []discovery.Instr, syms map[string]bool) {
+	syms = map[string]bool{}
 	for i, raw := range strings.Split(text, "\n") {
 		clean := stripComment(m, raw)
 		label, rest := lineLabel(clean)
 		if label != "" {
-			labels[label] = true
+			syms[label] = true
 		}
-		if rest == "" || strings.HasPrefix(rest, ".") {
+		if rest == "" {
+			continue
+		}
+		if strings.HasPrefix(rest, ".") {
+			if sym, ok := declared(rest); ok {
+				syms[sym] = true
+			}
 			continue
 		}
 		if ins, ok := tokenizeInstr(m, rest, i); ok {
 			instrs = append(instrs, ins)
 		}
 	}
-	return instrs, labels
+	return instrs, syms
+}
+
+// declared returns the symbol a directive line declares: its first
+// operand, when that is a bare name (".comm z1, 4", ".globl main"). A
+// string, a number or a sigiled operand declares nothing.
+func declared(directive string) (string, bool) {
+	_, args := tokenizeLine(directive)
+	if len(args) == 0 || args[0] == "" || args[0][0] >= '0' && args[0][0] <= '9' {
+		return "", false
+	}
+	for i := 0; i < len(args[0]); i++ {
+		if !isWordByte(args[0][i]) {
+			return "", false
+		}
+	}
+	return args[0], true
 }
 
 // collectCandidates gathers operand sub-tokens from entire sample texts
 // (prologues, call sequences, and payloads alike) that are not literals
-// and not defined labels.
+// and not defined symbols.
 func collectCandidates(m *discovery.Model, texts []string) []string {
 	seen := map[string]bool{}
 	labels := map[string]bool{}
@@ -111,7 +134,7 @@ func collectCandidates(m *discovery.Model, texts []string) []string {
 	for _, text := range texts {
 		instrs, defs := scanText(m, text)
 		for l := range defs {
-			// A defined label's sub-tokens are symbols too: ".L1:" keeps
+			// A defined symbol's sub-tokens are symbols too: ".L1:" keeps
 			// the "L1" of "jmp .L1" out of the candidates.
 			labels[l] = true
 			for _, t := range subTokens(l) {

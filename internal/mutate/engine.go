@@ -72,6 +72,10 @@ func RunsCounter(analysis string) string { return "mutate.runs." + analysis }
 // mutant that breaks falls back to probing them one at a time.
 var GroupedAnalyses = []string{anDelay, anSafeSet, anScan}
 
+// JointCounter names the tracer counter tallying a grouped analysis's
+// joint mutants.
+func JointCounter(analysis string) string { return "mutate.joints." + analysis }
+
 // JointFallbackCounter names the tracer counter tallying a grouped
 // analysis's joint mutants that broke.
 func JointFallbackCounter(analysis string) string { return "mutate.joint_fallbacks." + analysis }

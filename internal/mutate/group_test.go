@@ -22,8 +22,10 @@ import (
 
 // jointBreaker rejects, while armed, every text holding a joint mutant:
 // two or more clobbers of one register whose values are not known, two or
-// more of one register with ±fixedClobber, or clobbers of two or more
-// registers ahead of an otherwise unmutated region. The known values are
+// more of one register with ±fixedClobber, clobbers of two or more
+// registers ahead of an otherwise unmutated region, or, while the engine
+// runs the liveness scan, clobbers of two or more registers with unknown
+// or ±fixedClobber values. The known values are
 // those a singleton probe or the region itself carries: the fixed clobber,
 // the sample's own text, and its delay-slot fillers once the normalized
 // region has been assembled. Before that, a filler's value is one of the
@@ -85,7 +87,7 @@ func (j *jointBreaker) joint(text string) bool {
 	if j.e.runs == RunsCounter(anSafeSet) && j.safeSetJoint(body) {
 		return true
 	}
-	unknown, fixed := map[string]int{}, map[string]int{}
+	unknown, fixed, scanned := map[string]int{}, map[string]int{}, map[string]bool{}
 	for _, line := range strings.Split(body, "\n") {
 		reg, v, ok := j.clobber(line)
 		if !ok {
@@ -101,8 +103,11 @@ func (j *jointBreaker) joint(text string) bool {
 				return true
 			}
 		}
+		if !j.known[v] || v == fixedClobber || v == -fixedClobber {
+			scanned[reg] = true
+		}
 	}
-	return false
+	return j.e.runs == RunsCounter(anScan) && len(scanned) > 1
 }
 
 // safeSetJoint reports whether body, what follows pre in a mutant's text,
@@ -250,6 +255,9 @@ func TestJointFallbackMatchesSingletons(t *testing.T) {
 			t.Errorf("%s: %d joint mutants broken, %d fallbacks counted; want them equal and nonzero", name, jb.broken, fallbacks)
 		}
 		for _, an := range GroupedAnalyses {
+			if tried, fell := e.Rig.Trace().Counter(JointCounter(an)), e.Rig.Trace().Counter(JointFallbackCounter(an)); tried != fell {
+				t.Errorf("%s: %d %s joint mutants tried with every joint mutant broken, %d fell back; want them equal", name, tried, an, fell)
+			}
 			broken, intact := e.Rig.Trace().Counter(JointFallbackCounter(an)), ref.Rig.Trace().Counter(JointFallbackCounter(an))
 			if broken <= intact {
 				t.Errorf("%s: %d %s joint mutants fell back with every joint mutant broken, %d with them intact; want more, or a joint that passes goes untested",

@@ -2,11 +2,14 @@ package mutate
 
 import (
 	"maps"
+	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"srcg/internal/discovery"
+	"srcg/internal/gen"
 	"srcg/internal/target"
 	"srcg/internal/target/alpha"
 	"srcg/internal/target/mips"
@@ -153,4 +156,148 @@ func profile(live []bool) string {
 		}
 	}
 	return string(b)
+}
+
+// perRegisterLive is the liveness scan that group-tests one register at a
+// time, with one joint mutant per register and value, as the scan did
+// before its cross-register joint. It returns each studied register's
+// liveness at the group boundaries of a's region.
+func perRegisterLive(e *Engine, a *Analysis) map[string][]bool {
+	s := a.Sample
+	n := len(a.Groups) + 1
+	out := map[string][]bool{}
+	for _, reg := range e.studiedRegisters(a.Region) {
+		clobbers := func(gs []int, k func(g int) int64) []placed {
+			ins := make([]placed, len(gs))
+			for j, g := range gs {
+				ins[j] = placed{a.groupPos(g), e.ClobberInstr(reg, k(g))}
+			}
+			return ins
+		}
+		rnd := make([]int64, n)
+		for g := range rnd {
+			rnd[g] = e.clobberValues(1)[0]
+		}
+		dead := make([]int, 0, n)
+		for g := 0; g < n; g++ {
+			dead = append(dead, g)
+		}
+		for i, k := range []func(int) int64{
+			func(int) int64 { return fixedClobber },
+			func(int) int64 { return -fixedClobber },
+			func(g int) int64 { return rnd[g] },
+		} {
+			group := dead
+			if i == 0 {
+				group = a.textDead(reg)
+			}
+			if !e.groupSafe(anScan, s, a.Region, clobbers(group, k)) {
+				group = nil
+			}
+			dead = slices.DeleteFunc(dead, func(g int) bool {
+				return !slices.Contains(group, g) && !e.sameWith(s, a.Region, clobbers([]int{g}, k))
+			})
+		}
+		live := make([]bool, n)
+		for g := range live {
+			live[g] = !slices.Contains(dead, g)
+		}
+		out[reg] = live
+	}
+	return out
+}
+
+// TestCrossScanMatchesPerRegister: on every quick and full sample of the
+// five targets at seeds 1-3, the scan with its cross-register joint must
+// find each studied register's liveness that perRegisterLive finds, which
+// runs on an engine of its own and so draws other random values. Samples
+// whose valuations all print one output are skipped: the scan sends them
+// no cross joint, and on them even the per-register verdict can change
+// with the clobber values, since a clobber that happens to reproduce the
+// one output passes for dead.
+func TestCrossScanMatchesPerRegister(t *testing.T) {
+	for _, tc := range []target.Toolchain{x86.New(), sparc.New(), mips.New(), alpha.New(), vax.New()} {
+		t.Run(tc.Name(), func(t *testing.T) {
+			compared := 0
+			for _, full := range []bool{false, true} {
+				for seed := int64(1); seed <= 3; seed++ {
+					e, samples := setupSet(t, tc, gen.Config{Rand: rand.New(rand.NewSource(seed)), Full: full})
+					ref := New(e.Rig, e.Model, rand.New(rand.NewSource(seed)))
+					names := make([]string, 0, len(samples))
+					for n := range samples {
+						names = append(names, n)
+					}
+					sort.Strings(names)
+					for _, n := range names {
+						s := samples[n]
+						if !sensitive(s) {
+							continue
+						}
+						a, err := e.Analyze(s)
+						if err != nil {
+							continue
+						}
+						if len(a.Live) > 1 {
+							compared++
+						}
+						if want := perRegisterLive(ref, a); !maps.EqualFunc(a.Live, want, slices.Equal) {
+							t.Errorf("%s (seed %d, full %v): liveness %v; the per-register scan finds %v", n, seed, full, a.Live, want)
+						}
+					}
+				}
+			}
+			if compared == 0 {
+				t.Error("no sample studies two registers; the cross joint went untested")
+			}
+		})
+	}
+}
+
+// TestInsensitiveSampleScansPerRegister: a sample whose valuations all
+// print one output gets no cross-register joint. The same constant
+// clobbered into two registers can cancel (x-x), and such a sample cannot
+// tell the cancelled clobbers from dead ones, so its scan must send
+// exactly the per-register scan's joint mutants, while the same region
+// under valuations that print different outputs sends fewer.
+func TestInsensitiveSampleScansPerRegister(t *testing.T) {
+	e, samples := setup(t, mips.New())
+	s := samples["int.sub.b_c"]
+	if !sensitive(s) {
+		t.Fatalf("%s prints %q; want valuations that differ", s.Name, s.ExpectedOut)
+	}
+	// b - c is 0 under every valuation with b = c.
+	flat := *s
+	flat.Vals = nil
+	for _, v := range s.Vals {
+		v.C, v.Expect, v.ExpectedOut = v.B, 0, "0\n"
+		flat.Vals = append(flat.Vals, v)
+	}
+	flat.InitSource, flat.ExpectedOut = gen.InitUnit(flat.Vals), strings.Repeat("0\n", len(flat.Vals))
+	if sensitive(&flat) {
+		t.Fatal("the hand-built sample's valuations print different outputs")
+	}
+	ref := New(e.Rig, e.Model, rand.New(rand.NewSource(1)))
+	joints := func(f func()) int64 {
+		before := e.Rig.Trace().Counter(JointCounter(anScan))
+		f()
+		return e.Rig.Trace().Counter(JointCounter(anScan)) - before
+	}
+	for _, c := range []struct {
+		s     *discovery.Sample
+		cross bool
+	}{{&flat, false}, {s, true}} {
+		var a *Analysis
+		got := joints(func() { a = analyze(t, e, c.s) })
+		if len(a.Live) < 2 {
+			t.Fatalf("%s studies %d registers; the test needs two", s.Name, len(a.Live))
+		}
+		var want map[string][]bool
+		perReg := joints(func() { want = perRegisterLive(ref, a) })
+		if !maps.EqualFunc(a.Live, want, slices.Equal) {
+			t.Errorf("%s (cross %v): liveness %v; the per-register scan finds %v", s.Name, c.cross, a.Live, want)
+		}
+		if c.cross == (got == perReg) {
+			t.Errorf("%s (cross %v): the scan sent %d joint mutants, the per-register scan %d", s.Name, c.cross, got, perReg)
+		}
+	}
 }
