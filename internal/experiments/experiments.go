@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"srcg"
 	"srcg/internal/core"
 	"srcg/internal/discovery"
 	"srcg/internal/extract"
@@ -18,13 +19,6 @@ import (
 	"srcg/internal/lexer"
 	"srcg/internal/mutate"
 	"srcg/internal/obs"
-	"srcg/internal/target"
-	"srcg/internal/target/alpha"
-	"srcg/internal/target/mips"
-	"srcg/internal/target/sparc"
-	"srcg/internal/target/tera"
-	"srcg/internal/target/vax"
-	"srcg/internal/target/x86"
 )
 
 // Seed is the deterministic seed shared by all experiments.
@@ -46,24 +40,6 @@ func (r *Result) String() string {
 
 // Archs lists the evaluated architectures in the paper's order.
 var Archs = []string{"sparc", "alpha", "mips", "vax", "x86"}
-
-func newTarget(name string) target.Toolchain {
-	switch name {
-	case "sparc":
-		return sparc.New()
-	case "alpha":
-		return alpha.New()
-	case "mips":
-		return mips.New()
-	case "vax":
-		return vax.New()
-	case "x86":
-		return x86.New()
-	case "tera":
-		return tera.New()
-	}
-	panic("unknown arch " + name)
-}
 
 // Suite owns the cached full-discovery runs (one per architecture) that
 // the experiments share. The cache is instance state, not package state:
@@ -87,7 +63,7 @@ func (s *Suite) Discovered(arch string) (*core.Discovery, error) {
 	if d, ok := s.cache[arch]; ok {
 		return d, nil
 	}
-	d, err := core.Discover(newTarget(arch), core.Options{Seed: Seed})
+	d, err := core.Discover(srcg.NewTarget(arch), core.Options{Seed: Seed})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", arch, err)
 	}
@@ -536,7 +512,7 @@ func e14(s *Suite) (*Result, error) {
 		}
 		valid := 0
 		if d.Spec != nil {
-			for _, r := range d.Validate(newTarget(arch), core.ValidationSuite) {
+			for _, r := range d.Validate(srcg.NewTarget(arch), core.ValidationSuite) {
 				if r.OK {
 					valid++
 				}
@@ -635,7 +611,7 @@ func modWeights(f func(*extract.Weights)) extract.Weights {
 func e17(s *Suite) (*Result, error) {
 	var t table
 	// Tera: the Lexer fails gracefully on a Scheme-syntax assembler.
-	rig := discovery.NewRig(newTarget("tera"))
+	rig := discovery.NewRig(srcg.NewTarget("tera"))
 	samples, err := gen.Samples(gen.Config{Rand: rand.New(rand.NewSource(Seed))})
 	if err != nil {
 		return nil, err
@@ -692,7 +668,7 @@ func e19(s *Suite) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext, err := core.Discover(newTarget("vax"), core.Options{Seed: Seed, SignedShifts: true})
+	ext, err := core.Discover(srcg.NewTarget("vax"), core.Options{Seed: Seed, SignedShifts: true})
 	if err != nil {
 		return nil, err
 	}
@@ -726,12 +702,12 @@ func e20(s *Suite) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	abl, err := core.Discover(newTarget("x86"), core.Options{Seed: Seed, NoVariants: true})
+	abl, err := core.Discover(srcg.NewTarget("x86"), core.Options{Seed: Seed, NoVariants: true})
 	if err != nil {
 		return nil, err
 	}
 	countOK := func(d *core.Discovery) (ok, silent int) {
-		for _, r := range d.Validate(newTarget("x86"), core.ValidationSuite) {
+		for _, r := range d.Validate(srcg.NewTarget("x86"), core.ValidationSuite) {
 			switch {
 			case r.OK:
 				ok++

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"srcg"
 	"srcg/internal/core"
 	"srcg/internal/gen"
 )
@@ -113,6 +114,7 @@ func TestRecordMatchesSuite(t *testing.T) {
 	checkCostRow(t, md, got["E15"])
 	checkSearchRow(t, md, got["E10"])
 	checkDivergenceNotes(t, md)
+	checkSolvedRows(t, md, got["E14"], got["E16"], got["E20"])
 }
 
 // kRange renders the least and greatest of vs rounded to 0.1k, as the
@@ -219,6 +221,63 @@ func checkSearchRow(t *testing.T, md, e10 string) {
 	}
 }
 
+// checkSolvedRows holds the summary table's rows that quote E14, E16 and
+// E20: "N/N samples solved on four targets, M/N on VAX" is E14's samples
+// column, whose four other targets must agree; "V/W end-to-end validation
+// programs" sums its valid column; "Blind search needs R× more" is E16's
+// blind candidates over its full ones, rounded; and E20's ablation row
+// quotes "solved drops S→T and validation V→W".
+func checkSolvedRows(t *testing.T, md, e14, e16, e20 string) {
+	t.Helper()
+	samples := map[string]string{}
+	valid, programs := 0, 0
+	for _, line := range strings.Split(e14, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 || !slices.Contains(Archs, f[0]) {
+			continue
+		}
+		samples[f[0]] = f[3]
+		var v, n int
+		if _, err := fmt.Sscanf(f[4], "%d/%d", &v, &n); err != nil {
+			t.Fatalf("E14 %s valid %q: %v", f[0], f[4], err)
+		}
+		valid, programs = valid+v, programs+n
+	}
+	var others []string
+	for _, arch := range Archs {
+		if arch != "vax" && !slices.Contains(others, samples[arch]) {
+			others = append(others, samples[arch])
+		}
+	}
+	if len(samples) != len(Archs) || len(others) != 1 {
+		t.Fatalf("E14 solves %v; the summary row quotes one figure for the four targets other than VAX", samples)
+	}
+	candidates := map[string]float64{}
+	for _, line := range strings.Split(e16, "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && (f[0] == "full" || f[0] == "blind") {
+			candidates[f[0]], _ = strconv.ParseFloat(f[len(f)-3], 64)
+		}
+	}
+	if candidates["full"] == 0 {
+		t.Fatal("E16 has no full-likelihood candidates")
+	}
+	ablation := regexp.MustCompile(`solved=([0-9]+) +validated=([0-9]+/[0-9]+)`).FindAllStringSubmatch(e20, -1)
+	if len(ablation) != 2 {
+		t.Fatalf("E20 has %d solved/validated lines; want with and without variants", len(ablation))
+	}
+	row := strings.Join(strings.Fields(md), " ")
+	for _, want := range []string{
+		fmt.Sprintf("%s samples solved on four targets, %s on VAX", others[0], samples["vax"]),
+		fmt.Sprintf("%d/%d end-to-end validation programs", valid, programs),
+		fmt.Sprintf("Blind search needs %.0f× more than the full likelihood", math.Round(candidates["blind"]/candidates["full"])),
+		fmt.Sprintf("solved drops %s→%s and validation %s→%s", ablation[0][1], ablation[1][1], ablation[0][2], ablation[1][2]),
+	} {
+		if !strings.Contains(row, want) {
+			t.Errorf("%s's summary table does not read %q", recordPath, want)
+		}
+	}
+}
+
 // checkDivergenceNotes holds the "Notes on divergences" to the full
 // shape set: its sample count, and the VAX's failed samples at Seed,
 // named as "`int.shr.b_c`, `b_K`, ...".
@@ -231,7 +290,7 @@ func checkDivergenceNotes(t *testing.T, md string) {
 	if want := fmt.Sprintf("Under `Full: true` (%d samples", len(full)); !strings.Contains(md, want) {
 		t.Errorf("%s's divergence notes do not read %q", recordPath, want)
 	}
-	d, err := core.Discover(newTarget("vax"), core.Options{Seed: Seed, Full: true})
+	d, err := core.Discover(srcg.NewTarget("vax"), core.Options{Seed: Seed, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}

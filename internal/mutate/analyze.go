@@ -95,10 +95,11 @@ func (e *Engine) inertReg(s *discovery.Sample, region []discovery.Instr) (string
 // output under each of the values ks. The caller draws them before the
 // first probe, so the random stream does not depend on which one breaks. A
 // hardwired register, whose writes the machine discards, is safe without a
-// probe; its values are drawn all the same, so the delay-slot fillers drawn
-// after inertReg's pick keep their constants.
+// probe, unless the engine is literal; its values are drawn all the same,
+// so the delay-slot fillers drawn after inertReg's pick keep their
+// constants.
 func (e *Engine) clobberSafe(s *discovery.Sample, region []discovery.Instr, r string, ks []int64) bool {
-	if e.hardwired(r) {
+	if e.hardwired(r) && !e.literal {
 		return true
 	}
 	for _, k := range ks {
@@ -185,9 +186,10 @@ func (e *Engine) sameWith(s *discovery.Sample, region []discovery.Instr, ins []p
 // groupSafe group-tests two or more insertions: one mutant places them all
 // and reports whether the output survives. It counts a joint of analysis,
 // and a fallback when the output does not survive, so the caller probes
-// each alone. A single insertion is left to its own probe.
+// each alone. A single insertion, or any under a literal engine, is left
+// to its own probe.
 func (e *Engine) groupSafe(analysis string, s *discovery.Sample, region []discovery.Instr, ins []placed) bool {
-	if len(ins) < 2 {
+	if len(ins) < 2 || e.literal {
 		return false
 	}
 	tr := e.Rig.Trace()
@@ -303,10 +305,11 @@ func (e *Engine) safeClobberRegs(s *discovery.Sample, region []discovery.Instr) 
 // unsafe to clobber. A frame register that the region names only inside
 // memory operands is never written there and is read after it, so it is
 // live at every boundary. A register left out draws no clobber values;
-// the values drawn after delay-slot normalization never reach an MD.
+// the values drawn after delay-slot normalization never reach an MD. A
+// literal engine studies every register.
 func (e *Engine) studiedRegisters(region []discovery.Instr) []string {
 	return slices.DeleteFunc(discovery.Registers(region), func(r string) bool {
-		return e.hardwired(r) || slices.Contains(e.Model.Frame, r) && onlyBase(region, r)
+		return !e.literal && (e.hardwired(r) || slices.Contains(e.Model.Frame, r) && onlyBase(region, r))
 	})
 }
 
@@ -528,11 +531,12 @@ func (a *Analysis) textDead(reg string) []int {
 // (re-running the definition after a group breaks iff someone replaced the
 // value since).
 //
-// The scan's profile decides the rest without a probe. The boundary after
-// the last reader is dead, so a repair planted there is one more clobber
-// of a dead register: the redefinition walk stops before it. An interval
-// live at one boundary alone (end == start) has no middle group and walks
-// nothing, so it needs no repair.
+// The scan's profile decides the rest without a probe, unless the engine
+// is literal. The boundary after the last reader is dead, so a repair
+// planted there is one more clobber of a dead register: the redefinition
+// walk stops before it. An interval live at one boundary alone
+// (end == start) has no middle group and walks nothing, so it needs no
+// repair.
 func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 	defer e.enter(anAttribute)()
 	s := a.Sample
@@ -562,15 +566,18 @@ func (e *Engine) attribute(a *Analysis, reg string, live []bool) {
 		// Both probes need a *repair*: an instruction that re-establishes
 		// the defined value at a later point, the copy of the defining
 		// instruction (findRepair).
-		if defGroup < 0 || end == start {
+		if defGroup < 0 || end == start && !e.literal {
 			continue
 		}
 		repair, ok := e.findRepair(a, reg, defGroup, start)
 		if !ok {
 			continue
 		}
-		redefAt := -1
-		for g := start; g < end && end < n; g++ {
+		redefAt, walk := -1, end
+		if e.literal {
+			walk++ // the boundary after the last reader too
+		}
+		for g := start; g < walk && end < n; g++ {
 			// Repair probe: re-establish reg's defined value after group
 			// g; breakage means someone replaced the value in between.
 			if !e.SameOutput(s, a.insertAtGroup(g+1, repair)) {

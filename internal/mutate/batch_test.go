@@ -1,7 +1,6 @@
 package mutate
 
 import (
-	"sort"
 	"testing"
 
 	"srcg/internal/discovery"
@@ -23,11 +22,7 @@ import (
 // push of b overwrites c before the call.
 func TestBatchedVerdictMatchesValuations(t *testing.T) {
 	e, samples := setup(t, x86.New())
-	names := make([]string, 0, len(samples))
-	for n := range samples {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(samples)
 	type deletion struct {
 		sample string
 		i      int

@@ -35,6 +35,10 @@ type Engine struct {
 	baseOK   *discovery.Sample
 	// runs is the RunsCounter of the analysis the engine is running.
 	runs string
+	// literal runs §4 as the paper states it, for tests to hold the
+	// analyses to: no joint mutant, no register left out by a machine
+	// fact, and no attribution verdict taken from the scan's profile.
+	literal bool
 }
 
 // AnalysisNames names the analyses whose mutant runs the engine tallies, in
@@ -333,33 +337,6 @@ func Insert(region []discovery.Instr, i int, ins discovery.Instr) []discovery.In
 	return out
 }
 
-// Move relocates instruction from to sit just before position to
-// (positions are pre-removal indexes).
-func Move(region []discovery.Instr, from, to int) []discovery.Instr {
-	out := discovery.CloneInstrs(region)
-	ins := out[from]
-	ins.Labels = nil // labels stay at the original location
-	rest := append(out[:from:from], out[from+1:]...)
-	if to > from {
-		to--
-	}
-	rest = append(rest, discovery.Instr{})
-	copy(rest[to+1:], rest[to:])
-	rest[to] = ins
-	if len(region[from].Labels) > 0 && from < len(rest) {
-		rest[from].Labels = append(append([]string(nil), region[from].Labels...), rest[from].Labels...)
-	}
-	return rest
-}
-
-// Copy duplicates instruction from to sit just before position to.
-func Copy(region []discovery.Instr, from, to int) []discovery.Instr {
-	out := discovery.CloneInstrs(region)
-	dup := discovery.CloneInstrs(region[from : from+1])[0]
-	dup.Labels = nil
-	return Insert(out, to, dup)
-}
-
 // RenameAt renames reg→to in the instructions whose indexes are listed.
 func RenameAt(region []discovery.Instr, idxs []int, reg, to string) []discovery.Instr {
 	out := discovery.CloneInstrs(region)
@@ -387,12 +364,4 @@ func (e *Engine) freshRegisters(region []discovery.Instr, max int) []string {
 		}
 	}
 	return out
-}
-
-func describe(region []discovery.Instr) string {
-	var sb strings.Builder
-	for i, ins := range region {
-		fmt.Fprintf(&sb, "%2d: %s\n", i, ins)
-	}
-	return sb.String()
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -209,11 +208,7 @@ func TestJointFallbackMatchesSingletons(t *testing.T) {
 		jb := &jointBreaker{Toolchain: ctor()}
 		e, _ := setup(t, jb)
 		name := jb.Name()
-		names := make([]string, 0, len(samples))
-		for n := range samples {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := sortedKeys(samples)
 		for _, n := range names {
 			s := samples[n]
 			want, err := ref.Analyze(s)
@@ -306,7 +301,7 @@ func TestSlotFreeDelayCostsOneMutant(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if len(a.Slotted) != 0 || !eq(ops(a.Region), ops(s.Region)) {
+	if len(a.Slotted) != 0 || !slices.Equal(ops(a.Region), ops(s.Region)) {
 		t.Fatalf("x86 %s normalized to %v; want it unchanged", s.Name, ops(a.Region))
 	}
 	if gotA != searchA+1 || gotR != searchR+1 {

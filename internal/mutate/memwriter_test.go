@@ -212,11 +212,7 @@ func TestBatchedMemWriterMatchesValuations(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					e, samples := setupSet(t, tc, gen.Config{Rand: rand.New(rand.NewSource(seed)), Full: full})
 					constA := analyze(t, e, samples["int.const.34117"])
-					names := make([]string, 0, len(samples))
-					for n := range samples {
-						names = append(names, n)
-					}
-					slices.Sort(names)
+					names := sortedKeys(samples)
 					for _, n := range names {
 						a, err := e.Analyze(samples[n])
 						if err != nil {

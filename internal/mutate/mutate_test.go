@@ -1,7 +1,10 @@
 package mutate
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,6 +80,26 @@ func baseOnly(s *discovery.Sample) *discovery.Sample {
 	c.Vals = s.Vals[:1]
 	c.InitSource, c.ExpectedOut = initOf(s, 0), c.Vals[0].ExpectedOut
 	return &c
+}
+
+// describe renders a region one numbered instruction a line, for failure
+// messages.
+func describe(region []discovery.Instr) string {
+	var sb strings.Builder
+	for i, ins := range region {
+		fmt.Fprintf(&sb, "%2d: %s\n", i, ins)
+	}
+	return sb.String()
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func analyze(t *testing.T, e *Engine, s *discovery.Sample) *Analysis {
@@ -277,7 +300,7 @@ func TestSafeSetOncePerRegionState(t *testing.T) {
 	padded := Insert(s.Region, 0, e.ClobberInstr("%edi", 5))
 	onePadded := unit(padded)
 	a := eliminate(padded)
-	if len(a.Removed) != 1 || !eq(ops(a.Region), ops(s.Region)) {
+	if len(a.Removed) != 1 || !slices.Equal(ops(a.Region), ops(s.Region)) {
 		t.Fatalf("eliminating %v left %v; want the inserted clobber deleted alone", ops(padded), ops(a.Region))
 	}
 	if got, want := clobberStarts(e, s, padded, tc.texts)+clobberStarts(e, s, s.Region, tc.texts), onePadded+one; got != want {

@@ -1,6 +1,7 @@
 package mutate
 
 import (
+	"slices"
 	"testing"
 
 	"srcg/internal/discovery"
@@ -22,18 +23,6 @@ func ops(region []discovery.Instr) []string {
 	return out
 }
 
-func eq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func region3() []discovery.Instr {
 	r := []discovery.Instr{instr("a"), instr("b"), instr("c")}
 	r[1].Labels = []string{"L"}
@@ -43,7 +32,7 @@ func region3() []discovery.Instr {
 func TestDelete(t *testing.T) {
 	r := region3()
 	out := Delete(r, 1)
-	if !eq(ops(out), []string{"a", "c"}) {
+	if !slices.Equal(ops(out), []string{"a", "c"}) {
 		t.Errorf("ops = %v", ops(out))
 	}
 	// The deleted instruction's label moves to its successor.
@@ -51,7 +40,7 @@ func TestDelete(t *testing.T) {
 		t.Errorf("labels = %v", out[1].Labels)
 	}
 	// The original is untouched.
-	if !eq(ops(r), []string{"a", "b", "c"}) {
+	if !slices.Equal(ops(r), []string{"a", "b", "c"}) {
 		t.Error("Delete mutated its input")
 	}
 }
@@ -59,35 +48,12 @@ func TestDelete(t *testing.T) {
 func TestInsert(t *testing.T) {
 	r := region3()
 	out := Insert(r, 0, instr("x"))
-	if !eq(ops(out), []string{"x", "a", "b", "c"}) {
+	if !slices.Equal(ops(out), []string{"x", "a", "b", "c"}) {
 		t.Errorf("ops = %v", ops(out))
 	}
 	out = Insert(r, 3, instr("x"))
-	if !eq(ops(out), []string{"a", "b", "c", "x"}) {
+	if !slices.Equal(ops(out), []string{"a", "b", "c", "x"}) {
 		t.Errorf("append: ops = %v", ops(out))
-	}
-}
-
-func TestMove(t *testing.T) {
-	r := region3()
-	out := Move(r, 0, 2)
-	if !eq(ops(out), []string{"b", "a", "c"}) {
-		t.Errorf("forward: ops = %v", ops(out))
-	}
-	out = Move(r, 2, 0)
-	if !eq(ops(out), []string{"c", "a", "b"}) {
-		t.Errorf("backward: ops = %v", ops(out))
-	}
-}
-
-func TestCopy(t *testing.T) {
-	r := region3()
-	out := Copy(r, 0, 2)
-	if !eq(ops(out), []string{"a", "b", "a", "c"}) {
-		t.Errorf("ops = %v", ops(out))
-	}
-	if len(out[2].Labels) != 0 {
-		t.Error("copied instruction must not carry labels")
 	}
 }
 
