@@ -77,10 +77,17 @@ func (b *Backend) Compile(src string, genFunc func(f *ir.Func) error) (string, e
 }
 
 // Raw emits one line as is.
-func (b *Backend) Raw(s string) { b.buf.WriteString(s + "\n") }
+func (b *Backend) Raw(s string) {
+	b.buf.WriteString(s)
+	b.buf.WriteByte('\n')
+}
 
 // Ins emits one instruction line.
-func (b *Backend) Ins(f string, a ...any) { b.Raw("\t" + fmt.Sprintf(f, a...)) }
+func (b *Backend) Ins(f string, a ...any) {
+	b.buf.WriteByte('\t')
+	fmt.Fprintf(&b.buf, f, a...)
+	b.buf.WriteByte('\n')
+}
 
 // Label emits a label definition.
 func (b *Backend) Label(name string) { b.Raw(name + ":") }
