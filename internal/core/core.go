@@ -86,20 +86,6 @@ const (
 // pipeline re-run with a fresh seed before the sample is dropped.
 const DefaultCheckRetries = 2
 
-// constantExpect reports whether every valuation of s expects the same
-// output — a degenerate sample that cannot pin value-dependent semantics.
-func constantExpect(s *discovery.Sample) bool {
-	if len(s.Vals) < 2 {
-		return false // a single valuation carries no variance information
-	}
-	for _, v := range s.Vals[1:] {
-		if v.Expect != s.Vals[0].Expect {
-			return false
-		}
-	}
-	return true
-}
-
 // Discovery is the complete result of analyzing one target.
 type Discovery struct {
 	Rig      *discovery.Rig
@@ -217,7 +203,7 @@ func Discover(tc target.Toolchain, opts Options) (*Discovery, error) {
 			if s.Kind == discovery.PStress {
 				continue // register-pressure sample: lexer-only
 			}
-			if s.Kind == discovery.PBinary && constantExpect(s) {
+			if s.Kind == discovery.PBinary && len(s.Vals) > 1 && !s.Sensitive() {
 				// A payload whose expected output never varies (b>>b is 0 for
 				// every representable b; a-a, a^a, a%a likewise) cannot
 				// distinguish value-dependent interpretations, and mutation

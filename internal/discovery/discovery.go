@@ -7,6 +7,7 @@ package discovery
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -177,6 +178,14 @@ type Sample struct {
 type Valuation struct {
 	A0, B, C, Expect int64
 	ExpectedOut      string
+}
+
+// Sensitive reports whether s's valuations do not all print the same
+// output. A sample of one valuation is not: it carries no variance.
+func (s *Sample) Sensitive() bool {
+	return slices.ContainsFunc(s.Vals, func(v Valuation) bool {
+		return v.ExpectedOut != s.Vals[0].ExpectedOut
+	})
 }
 
 // Rebuild reassembles the sample's full text with a replacement region.

@@ -482,19 +482,11 @@ func (e *Engine) crossSafe(s *discovery.Sample, region []discovery.Instr, ins []
 			all = append(all, r...)
 		}
 	}
-	if regs < 2 || !sensitive(s) {
+	if regs < 2 || !s.Sensitive() {
 		return false
 	}
 	slices.SortStableFunc(all, func(x, y placed) int { return cmp.Compare(x.at, y.at) })
 	return e.groupSafe(anScan, s, region, all)
-}
-
-// sensitive reports whether s's valuations do not all print the same
-// output.
-func sensitive(s *discovery.Sample) bool {
-	return slices.ContainsFunc(s.Vals, func(v discovery.Valuation) bool {
-		return v.ExpectedOut != s.Vals[0].ExpectedOut
-	})
 }
 
 // textDead returns the boundaries at which the region's text predicts reg
