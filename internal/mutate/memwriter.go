@@ -27,7 +27,7 @@ var memConsts = [2]int64{24683, -19751}
 //
 // The probe's staging registers are renamed to registers the region never
 // mentions, for two reasons: a shared staging register would let a trailing
-// original store re-store the probe constant (the Alpha's stq $1 after the
+// original store re-store the probe constant (the Alpha's stl $1 after the
 // probe also used $1 — the writer would appear one position early), and a
 // leftover probe value in a region register would perturb later consumers
 // (a MIPS bge reading the probe's $9 flips the branch and fakes a hit).
